@@ -47,6 +47,13 @@ def _default_level(d: int) -> int:
     return 3 if d == 2 else 2
 
 
+def _level(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"level must be >= 1, got {value}")
+    return value
+
+
 def cmd_analyze(args) -> int:
     try:
         sys_, text = _load(args.input, seed=args.seed)
@@ -68,11 +75,13 @@ def cmd_analyze(args) -> int:
         print(f"internal consistency failure: {exc}", file=_sys.stderr)
         return EXIT_INTERNAL
 
+    level = args.level
+    if level is None and not args.no_twosided:
+        level = _default_level(sys_.d)
     two_doc = None
     if not args.no_twosided and report.is_ergodic:
-        level = args.level or _default_level(sys_.d)
         try:
-            two_doc = _run_twosided(sys_, level)
+            two_doc = _run_twosided(sys_, level, args.tol)
         except (purity.InternalConsistencyError, modular.ModularError,
                 twosided.TruncationError) as exc:
             print(f"internal consistency failure: {exc}", file=_sys.stderr)
@@ -82,7 +91,7 @@ def cmd_analyze(args) -> int:
         "input_sha256": hashlib.sha256(text.encode()).hexdigest(),
         "tol": args.tol,
         "cutoff": args.cutoff,
-        "level": args.level or (_default_level(sys_.d) if not args.no_twosided else None),
+        "level": level,
         "fcslab_version": __version__,
     }
     doc = serialize.report_to_dict(report, provenance, twosided=two_doc)
@@ -96,12 +105,13 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _run_twosided(sys_, level: int) -> dict:
-    search = systems.invariant_states(sys_)
-    comp_sys, comp_state, _ = systems.compress_to_support(sys_, search.mean_state)
-    can = systems.canonicalize(comp_sys, comp_state)
-    md = modular.modular_data(can)
-    dual = modular.dual_system(md)
+def _run_twosided(sys_, level: int, tol: float) -> dict:
+    search = systems.invariant_states(sys_, tol=tol)
+    comp_sys, comp_state, _ = systems.compress_to_support(
+        sys_, search.mean_state, tol=tol)
+    can = systems.canonicalize(comp_sys, comp_state, tol=tol)
+    md = modular.modular_data(can, tol=tol)
+    dual = modular.dual_system(md, tol=tol)
     rep = twosided.build(md, dual, level)
     rel = twosided.check_relations(rep)
     shift = twosided.shift_check(rep)
@@ -203,8 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--tol", type=float, default=1e-9)
     pa.add_argument("--cutoff", type=int, default=4,
                     help="word-length cutoff for gauge-group detection")
-    pa.add_argument("--level", type=int, default=None,
-                    help="truncation level of the two-sided check")
+    pa.add_argument("--level", type=_level, default=None,
+                    help="truncation level of the two-sided check, >= 1 "
+                         "(default 3 for d = 2, else 2)")
     pa.add_argument("--seed", type=int, default=None,
                     help="seed override for the built-in random fixture")
     pa.add_argument("--no-amalgam", "--no-twosided", dest="no_twosided",

@@ -29,20 +29,21 @@ from .linalg import dag
 from .modular import DualSystem, ModularData
 from .systems import InvariantState, KrausSystem, word_operators, words
 
-RAW_DIM_GUARD = 20000
 GRAM_KERNEL_TOL = 1e-9
 GRAM_NEGATIVITY_HARD = -1e-6
+
+# Memory guard of `build`, checked before anything is allocated.  At its
+# peak, while the Gram is diagonalized, `build` holds BUILD_SQUARE_ARRAYS
+# dense N x N complex arrays, N the raw dimension: the Gram, its Hermitian
+# copy, the eigensolver's working copy, the eigenvectors, and LAPACK
+# workspace of about two more (the resident set grows by 6.1 such arrays at
+# N = 676 and N = 900).
+BUILD_SQUARE_ARRAYS = 6
+BUILD_BYTES_BUDGET = 2**30
 
 
 class TruncationError(RuntimeError):
     """Construction failed a structural check."""
-
-
-def _prefix_excess(shorter, longer):
-    """Excess suffix if shorter is a prefix of longer, else None."""
-    if longer[: len(shorter)] == shorter:
-        return longer[len(shorter):]
-    return None
 
 
 @dataclass(frozen=True)
@@ -68,20 +69,67 @@ class TwoSidedRep:
         return self.right_ops.shape[0]
 
 
+def _word_count(d: int, max_len: int) -> int:
+    """Number of words over d letters of length <= max_len."""
+    return sum(d**k for k in range(max_len + 1))
+
+
+def _pair_table(bra_words, ket_words, tab):
+    """Prefix-rule operators for every (bra word, ket word) pair.
+
+    ops[i, j] is tab[E] when bra word i is a prefix of ket word j with excess
+    E (the excess sits on the ket side, side +1), dag(tab[E]) when ket word j
+    is a proper prefix of bra word i (bra side, side -1), and zero when the
+    words are not prefix-related (side 0).
+    """
+    m = tab[()].shape[0]
+    ops = np.zeros((len(bra_words), len(ket_words), m, m), dtype=np.complex128)
+    side = np.zeros((len(bra_words), len(ket_words)), dtype=np.int8)
+    for i, a in enumerate(bra_words):
+        for j, b in enumerate(ket_words):
+            if b[:len(a)] == a:
+                ops[i, j] = tab[b[len(a):]]
+                side[i, j] = 1
+            elif a[:len(b)] == b:
+                ops[i, j] = dag(tab[a[len(b):]])
+                side[i, j] = -1
+    return ops, side
+
+
+def _fill_gram(out, left, right, right_side):
+    """Write the Gram of raw bra vectors against raw ket vectors into out.
+
+    Raw vectors are ordered (left word, right word, alpha), so out viewed as
+    (nw, nw, m, nw, nw, m) is indexed [i, k, alpha, j, l, beta] with (i, j)
+    the left-word pair and (k, l) the right-word pair.  The entry is
+    (X Y)[alpha, beta] with X = left[i, j], Y = right[k, l] when the right
+    excess sits on the ket side and (Y X)[alpha, beta] when it sits on the
+    bra side.  Blocks of unrelated right words are left untouched (zero).
+    """
+    nw, m = left.shape[0], left.shape[2]
+    blocks = out.reshape(nw, nw, m, nw, nw, m)
+    for k, l in zip(*np.nonzero(right_side)):
+        y = right[k, l]
+        xy = left @ y if right_side[k, l] > 0 else y @ left  # [i, j, alpha, beta]
+        blocks[:, k, :, :, l, :] = xy.transpose(0, 2, 1, 3)
+
+
 def build(md: ModularData, dual: DualSystem, level: int) -> TwoSidedRep:
     """Assemble the level-L truncated two-sided representation."""
     if level < 1:
         raise ValueError("level must be >= 1")
     d = md.pi_ops.shape[0]
     m = md.gns_dim
-    word_list = words(d, level)
-    nw = len(word_list)
-    raw_dim = nw * nw * m
-    if raw_dim > RAW_DIM_GUARD:
+    raw_dim = _word_count(d, level) ** 2 * m
+    need = BUILD_SQUARE_ARRAYS * raw_dim * raw_dim * 16
+    if need > BUILD_BYTES_BUDGET:
         raise TruncationError(
-            f"raw dimension {raw_dim} exceeds the guard {RAW_DIM_GUARD}"
+            f"level {level} needs about {need / 2**20:.0f} MiB for "
+            f"{BUILD_SQUARE_ARRAYS} dense complex arrays of raw dimension "
+            f"{raw_dim}, over the budget of {BUILD_BYTES_BUDGET / 2**20:.0f} MiB"
         )
 
+    word_list = words(d, level)
     vtab = word_operators(md.pi_ops, level + 1)
     wtab = word_operators(dual.ops, level + 1)
 
@@ -89,42 +137,18 @@ def build(md: ModularData, dual: DualSystem, level: int) -> TwoSidedRep:
         (lw, rw, alpha)
         for lw in word_list for rw in word_list for alpha in range(m)
     )
-    pos = {idx: k for k, idx in enumerate(raw_index)}
-    n_raw = len(raw_index)
 
-    def entry(bra, ket):
-        lw_a, rw_a, alpha = bra
-        lw_b, rw_b, beta = ket
-        # right words
-        f_ket = _prefix_excess(rw_a, rw_b)
-        f_bra = None if f_ket is not None else _prefix_excess(rw_b, rw_a)
-        if f_ket is None and f_bra is None:
-            return 0.0
-        e_ket = _prefix_excess(lw_a, lw_b)
-        e_bra = None if e_ket is not None else _prefix_excess(lw_b, lw_a)
-        if e_ket is None and e_bra is None:
-            return 0.0
-        vf = vtab[f_ket if f_ket is not None else f_bra]
-        we = wtab[e_ket if e_ket is not None else e_bra]
-        if e_ket is not None and f_ket is not None:
-            mat = we @ vf
-        elif e_ket is None and f_ket is not None:
-            mat = dag(we) @ vf
-        elif e_ket is not None and f_ket is None:
-            mat = dag(vf) @ we
-        else:
-            mat = dag(we @ vf)
-        return mat[alpha, beta]
+    # Left excess words contribute the duals w_E, right excess words v_F.
+    left, _ = _pair_table(word_list, word_list, wtab)
+    right, right_side = _pair_table(word_list, word_list, vtab)
+    gram = np.zeros((raw_dim, raw_dim), dtype=np.complex128)
+    _fill_gram(gram, left, right, right_side)
 
-    gram = np.empty((n_raw, n_raw), dtype=np.complex128)
-    for a, bra in enumerate(raw_index):
-        gram[a, a] = entry(bra, bra)
-        for b in range(a + 1, n_raw):
-            val = entry(bra, raw_index[b])
-            gram[a, b] = val
-            gram[b, a] = np.conj(val)
-
-    evals, evecs = np.linalg.eigh((gram + dag(gram)) / 2)
+    herm = dag(gram)
+    herm += gram
+    herm *= 0.5
+    evals, evecs = np.linalg.eigh(herm)
+    del herm
     top = max(float(evals[-1]), 1.0)
     if evals[0] < GRAM_NEGATIVITY_HARD * top:
         raise TruncationError(
@@ -132,44 +156,40 @@ def build(md: ModularData, dual: DualSystem, level: int) -> TwoSidedRep:
             "dual construction or convention error"
         )
     keep = evals > GRAM_KERNEL_TOL * top
-    lam = evals[keep]
-    u = evecs[:, keep]
-    w_raw = u / np.sqrt(lam)  # raw coordinates of orthonormal quotient basis
-    quotient_map = dag(w_raw) @ gram  # (q, N): raw vector -> quotient coords
+    # raw coordinates of an orthonormal quotient basis
+    w_raw = evecs[:, keep] / np.sqrt(evals[keep])
+    del evecs
+    w_dag = dag(w_raw)
+    quotient_map = w_dag @ gram  # (q, N): raw vector -> quotient coords
     q = quotient_map.shape[0]
 
-    def shifted_column(raw_pos_idx, new_idx):
-        """Quotient coords of a raw basis vector shifted to new_idx."""
-        if new_idx in pos:
-            return quotient_map[:, pos[new_idx]]
-        col = np.array([entry(bra, new_idx) for bra in raw_index])
-        return dag(w_raw) @ col
+    # Compressed operators against the orthonormal quotient basis: S_k and
+    # Stilde_k prepend the letter k to the right and the left word, so their
+    # matrices are dag(w_raw) G_k w_raw with G_k the Gram of the raw basis
+    # against the shifted raw basis.  One buffer serves all 2d cross-Grams.
+    shifted = np.empty((raw_dim, raw_dim), dtype=np.complex128)
 
-    # Compressed operators against the orthonormal quotient basis:
-    # column i of S_a is Q(S_a w_i) with w_i = sum_j w_raw[j, i] raw_j.
-    right_ops = np.zeros((d, q, q), dtype=np.complex128)
-    left_ops = np.zeros((d, q, q), dtype=np.complex128)
+    def compress(pair_left, pair_right, pair_side):
+        shifted.fill(0)
+        _fill_gram(shifted, pair_left, pair_right, pair_side)
+        return (w_dag @ shifted) @ w_raw
+
+    right_ops = np.empty((d, q, q), dtype=np.complex128)
+    left_ops = np.empty((d, q, q), dtype=np.complex128)
     for k in range(d):
-        cols_r = np.zeros((q, n_raw), dtype=np.complex128)
-        cols_l = np.zeros((q, n_raw), dtype=np.complex128)
-        for jraw, (lw, rw, alpha) in enumerate(raw_index):
-            cols_r[:, jraw] = shifted_column(jraw, (lw, (k,) + rw, alpha))
-            cols_l[:, jraw] = shifted_column(jraw, ((k,) + lw, rw, alpha))
-        right_ops[k] = cols_r @ w_raw
-        left_ops[k] = cols_l @ w_raw
+        ext = [(k,) + w for w in word_list]
+        right_ops[k] = compress(left, *_pair_table(word_list, ext, vtab))
+        left_ops[k] = compress(_pair_table(word_list, ext, wtab)[0],
+                               right, right_side)
+    del shifted
 
-    corner = quotient_map[:, [pos[((), (), a)] for a in range(m)]]  # (q, m)
+    corner = quotient_map[:, :m]  # raw vectors ((), (), alpha)
     p_corner = corner @ dag(corner)
     omega = corner @ md.omega
 
     shift = sum(right_ops[k] @ dag(left_ops[k]) for k in range(d))
 
-    interior_cols = [
-        quotient_map[:, pos[idx]]
-        for idx in raw_index
-        if len(idx[0]) <= level - 1 and len(idx[1]) <= level - 1
-    ]
-    interior = _orthonormal_columns(np.stack(interior_cols, axis=1))
+    interior = _domain(quotient_map, d, level, level - 1, level - 1)
 
     return TwoSidedRep(
         level=level,
@@ -192,14 +212,17 @@ def _orthonormal_columns(cols: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return u[:, :rank]
 
 
-def _domain(rep: TwoSidedRep, max_left: int, max_right: int) -> np.ndarray:
-    pos = {idx: k for k, idx in enumerate(rep.raw_index)}
-    cols = [
-        rep.quotient_map[:, pos[idx]]
-        for idx in rep.raw_index
-        if len(idx[0]) <= max_left and len(idx[1]) <= max_right
-    ]
-    return _orthonormal_columns(np.stack(cols, axis=1))
+def _domain(qmap: np.ndarray, d: int, level: int, max_left: int,
+            max_right: int) -> np.ndarray:
+    """ON basis spanned by the raw vectors with word lengths within bounds.
+
+    qmap maps raw coordinates to quotient coordinates; raw vectors are
+    ordered (left word, right word, alpha) with words sorted by length.
+    """
+    q, nw = qmap.shape[0], _word_count(d, level)
+    cols = qmap.reshape(q, nw, nw, -1)
+    cols = cols[:, :_word_count(d, max_left), :_word_count(d, max_right)]
+    return _orthonormal_columns(cols.reshape(q, -1))
 
 
 @dataclass(frozen=True)
@@ -218,38 +241,41 @@ def check_relations(rep: TwoSidedRep) -> RelationReport:
     and must be small; boundary residuals quantify the truncation and are
     reported separately.
     """
-    q = rep.quotient_dim
-    eye = np.eye(q)
+    eye = np.eye(rep.quotient_dim)
     s = rep.right_ops
     st = rep.left_ops
     d = rep.d
 
     def residuals(domain):
+        def norm(x):
+            # operator norm of x restricted to the domain (None: everywhere)
+            return float(np.linalg.norm(x if domain is None else x @ domain, ord=2))
+
         out = {}
         out["right_isometry"] = max(
-            float(np.linalg.norm((dag(s[i]) @ s[j] - (eye if i == j else 0)) @ domain, ord=2))
+            norm(dag(s[i]) @ s[j] - (eye if i == j else 0))
             for i in range(d) for j in range(d)
         )
         out["left_isometry"] = max(
-            float(np.linalg.norm((dag(st[i]) @ st[j] - (eye if i == j else 0)) @ domain, ord=2))
+            norm(dag(st[i]) @ st[j] - (eye if i == j else 0))
             for i in range(d) for j in range(d)
         )
-        out["right_completeness"] = float(np.linalg.norm(
-            (sum(s[k] @ dag(s[k]) for k in range(d)) - eye) @ domain, ord=2))
-        out["left_completeness"] = float(np.linalg.norm(
-            (sum(st[k] @ dag(st[k]) for k in range(d)) - eye) @ domain, ord=2))
+        out["right_completeness"] = norm(
+            sum(s[k] @ dag(s[k]) for k in range(d)) - eye)
+        out["left_completeness"] = norm(
+            sum(st[k] @ dag(st[k]) for k in range(d)) - eye)
         out["commutation"] = max(
-            float(np.linalg.norm((s[i] @ st[j] - st[j] @ s[i]) @ domain, ord=2))
+            norm(s[i] @ st[j] - st[j] @ s[i])
             for i in range(d) for j in range(d)
         )
         out["star_commutation"] = max(
-            float(np.linalg.norm((s[i] @ dag(st[j]) - dag(st[j]) @ s[i]) @ domain, ord=2))
+            norm(s[i] @ dag(st[j]) - dag(st[j]) @ s[i])
             for i in range(d) for j in range(d)
         )
         return out
 
     interior = residuals(rep.interior)
-    boundary = residuals(np.eye(q))
+    boundary = residuals(None)
     return RelationReport(interior=interior, boundary=boundary)
 
 
@@ -279,15 +305,16 @@ def moment_check(rep: TwoSidedRep, sys: KrausSystem, state: InvariantState,
     ltab = word_operators(rep.left_ops, window)
     omega = rep.omega
 
+    pairs = [(a, b) for a in words(d, window) for b in words(d, window)
+             if len(a) == len(b)]
+    # <Omega, St_a St_b* R> = <St_a* Omega, St_b* R> with R = S_R S_Rb* Omega
+    left_bra = {w: dag(op) @ omega for w, op in ltab.items()}
+    left_adj = {w: dag(op) for w, op in ltab.items()}
     worst = 0.0
-    left_pairs = [(a, b) for a in words(d, window) for b in words(d, window)
-                  if len(a) == len(b)]
-    right_pairs = left_pairs
-    for la, lb in left_pairs:
-        for ra, rb in right_pairs:
-            got = np.conj(omega) @ (
-                ltab[la] @ dag(ltab[lb]) @ rtab[ra] @ dag(rtab[rb]) @ omega
-            )
+    for ra, rb in pairs:
+        r_vec = rtab[ra] @ (dag(rtab[rb]) @ omega)
+        for la, lb in pairs:
+            got = np.vdot(left_bra[la], left_adj[lb] @ r_vec)
             top = la[::-1] + ra
             bot = lb[::-1] + rb
             if top:
@@ -319,7 +346,8 @@ def shift_check(rep: TwoSidedRep) -> ShiftReport:
     iso = float(np.linalg.norm((dag(v) @ v - np.eye(q)) @ interior, ord=2))
     omega_res = float(np.linalg.norm(v @ rep.omega - rep.omega))
 
-    dom = _domain(rep, rep.level - 1, rep.level - 2)
+    dom = _domain(rep.quotient_map, rep.d, rep.level, rep.level - 1,
+                  rep.level - 2)
     worst = 0.0
     for i in range(rep.d):
         for j in range(rep.d):

@@ -1,6 +1,8 @@
 import json
 
-from fcslab import cli, serialize, fixtures
+import pytest
+
+from fcslab import cli, modular, serialize, fixtures, systems
 
 
 def run(argv):
@@ -89,3 +91,38 @@ def test_determinism(tmp_path):
     run(["analyze", "fixture:aklt", "--level", "2", "-o", str(a)])
     run(["analyze", "fixture:aklt", "--level", "2", "-o", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("level", ["0", "-1"])
+def test_level_below_one_is_a_parse_error(level, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", "fixture:aklt", "--level", level])
+    assert exc.value.code == cli.EXIT_PARSE
+    assert "level must be >= 1" in capsys.readouterr().err
+
+
+def test_tol_reaches_twosided_pipeline(tmp_path, monkeypatch):
+    calls = []
+
+    def recording(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, kwargs.get("tol")))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    stages = [(systems, "invariant_states"), (systems, "compress_to_support"),
+              (systems, "canonicalize"), (modular, "modular_data"),
+              (modular, "dual_system")]
+    for module, name in stages:
+        recording(module, name)
+    out = tmp_path / "r.json"
+    code = run(["analyze", "fixture:bernoulli-uniform", "--level", "2",
+                "--tol", "2e-9", "-o", str(out)])
+    assert code == cli.EXIT_OK
+    assert "twosided" in json.loads(out.read_text())
+    # once in the purity battery and once more in the two-sided check
+    for _, name in stages:
+        assert [tol for n, tol in calls if n == name] == [2e-9, 2e-9], name

@@ -30,6 +30,13 @@ class TestBuild:
         with pytest.raises(twosided.TruncationError):
             twosided.build(aklt_pipeline.md, aklt_pipeline.dual, level=4)
 
+    def test_memory_guard_message(self, aklt_pipeline):
+        # N = 40^2 * 4 = 6400: six 655 MB arrays, refused before allocation
+        with pytest.raises(twosided.TruncationError,
+                           match=r"about 3750 MiB .* raw dimension 6400, "
+                                 r"over the budget of 1024 MiB"):
+            twosided.build(aklt_pipeline.md, aklt_pipeline.dual, level=3)
+
     def test_vacuum_is_normalized(self, bernoulli_rep):
         _, rep = bernoulli_rep
         assert abs(np.linalg.norm(rep.omega) - 1.0) < 1e-10

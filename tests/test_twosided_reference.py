@@ -1,0 +1,204 @@
+"""Block-level two-sided assembly against the scalar reference.
+
+The reference below assembles the Gram one entry at a time from the prefix
+rules, with a matrix product per entry, and builds each shift compression
+one raw column at a time.  Its cost is quadratic in the raw dimension N
+times an m x m product, so it serves only as a small-N oracle (N <= 900
+here).  ``moment_check`` and ``check_relations`` are compared with their
+direct formulas on the same representation.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import build_pipeline
+from fcslab import fixtures, systems, twosided
+from fcslab.chain import local_expectation, matrix_unit
+from fcslab.linalg import dag
+from fcslab.systems import word_operators, words
+
+
+def _prefix_excess(shorter, longer):
+    """Excess suffix if shorter is a prefix of longer, else None."""
+    if longer[: len(shorter)] == shorter:
+        return longer[len(shorter):]
+    return None
+
+
+def reference_build(md, dual, level):
+    """Gram, min eigenvalue and shift compressions, entry by entry."""
+    d = md.pi_ops.shape[0]
+    m = md.gns_dim
+    word_list = words(d, level)
+    vtab = word_operators(md.pi_ops, level + 1)
+    wtab = word_operators(dual.ops, level + 1)
+    raw_index = [(lw, rw, alpha)
+                 for lw in word_list for rw in word_list for alpha in range(m)]
+    pos = {idx: k for k, idx in enumerate(raw_index)}
+    n_raw = len(raw_index)
+
+    def entry(bra, ket):
+        lw_a, rw_a, alpha = bra
+        lw_b, rw_b, beta = ket
+        f_ket = _prefix_excess(rw_a, rw_b)
+        f_bra = None if f_ket is not None else _prefix_excess(rw_b, rw_a)
+        if f_ket is None and f_bra is None:
+            return 0.0
+        e_ket = _prefix_excess(lw_a, lw_b)
+        e_bra = None if e_ket is not None else _prefix_excess(lw_b, lw_a)
+        if e_ket is None and e_bra is None:
+            return 0.0
+        vf = vtab[f_ket if f_ket is not None else f_bra]
+        we = wtab[e_ket if e_ket is not None else e_bra]
+        if e_ket is not None and f_ket is not None:
+            mat = we @ vf
+        elif e_ket is None and f_ket is not None:
+            mat = dag(we) @ vf
+        elif e_ket is not None and f_ket is None:
+            mat = dag(vf) @ we
+        else:
+            mat = dag(we @ vf)
+        return mat[alpha, beta]
+
+    gram = np.empty((n_raw, n_raw), dtype=np.complex128)
+    for a, bra in enumerate(raw_index):
+        gram[a, a] = entry(bra, bra)
+        for b in range(a + 1, n_raw):
+            val = entry(bra, raw_index[b])
+            gram[a, b] = val
+            gram[b, a] = np.conj(val)
+
+    evals, evecs = np.linalg.eigh((gram + dag(gram)) / 2)
+    top = max(float(evals[-1]), 1.0)
+    keep = evals > twosided.GRAM_KERNEL_TOL * top
+    w_raw = evecs[:, keep] / np.sqrt(evals[keep])
+    quotient_map = dag(w_raw) @ gram
+
+    def shifted_column(new_idx):
+        if new_idx in pos:
+            return quotient_map[:, pos[new_idx]]
+        return dag(w_raw) @ np.array([entry(bra, new_idx) for bra in raw_index])
+
+    right_ops, left_ops = [], []
+    for k in range(d):
+        cols_r = np.stack([shifted_column((lw, (k,) + rw, alpha))
+                           for lw, rw, alpha in raw_index], axis=1)
+        cols_l = np.stack([shifted_column(((k,) + lw, rw, alpha))
+                           for lw, rw, alpha in raw_index], axis=1)
+        right_ops.append(cols_r @ w_raw)
+        left_ops.append(cols_l @ w_raw)
+    return gram, float(evals[0]), np.array(right_ops), np.array(left_ops)
+
+
+def reference_relations(rep):
+    """check_relations with every residual taken on an explicit domain."""
+    q = rep.quotient_dim
+    eye = np.eye(q)
+    s, st, d = rep.right_ops, rep.left_ops, rep.d
+
+    def residuals(domain):
+        def norm(x):
+            return float(np.linalg.norm(x @ domain, ord=2))
+
+        pairs = [(i, j) for i in range(d) for j in range(d)]
+        return {
+            "right_isometry": max(norm(dag(s[i]) @ s[j] - (eye if i == j else 0))
+                                  for i, j in pairs),
+            "left_isometry": max(norm(dag(st[i]) @ st[j] - (eye if i == j else 0))
+                                 for i, j in pairs),
+            "right_completeness": norm(sum(a @ dag(a) for a in s) - eye),
+            "left_completeness": norm(sum(a @ dag(a) for a in st) - eye),
+            "commutation": max(norm(s[i] @ st[j] - st[j] @ s[i])
+                               for i, j in pairs),
+            "star_commutation": max(norm(s[i] @ dag(st[j]) - dag(st[j]) @ s[i])
+                                    for i, j in pairs),
+        }
+
+    return residuals(rep.interior), residuals(eye)
+
+
+def reference_moments(rep, sys, state, window):
+    """moment_check with each moment a chain of q x q matrix products."""
+    d = rep.d
+    rtab = word_operators(rep.right_ops, window)
+    ltab = word_operators(rep.left_ops, window)
+    omega = rep.omega
+    pairs = [(a, b) for a in words(d, window) for b in words(d, window)
+             if len(a) == len(b)]
+    worst = 0.0
+    for la, lb in pairs:
+        for ra, rb in pairs:
+            got = np.conj(omega) @ (
+                ltab[la] @ dag(ltab[lb]) @ rtab[ra] @ dag(rtab[rb]) @ omega)
+            top = la[::-1] + ra
+            bot = lb[::-1] + rb
+            if top:
+                units = [matrix_unit(d, i, j) for i, j in zip(top, bot)]
+                want = local_expectation(sys, state, units)
+            else:
+                want = 1.0
+            worst = max(worst, abs(got - want))
+    return worst
+
+
+def _rotated_random(seed):
+    """random_system(2, 2, seed) conjugated by a seeded unitary."""
+    sys_ = fixtures.random_system(2, 2, seed)
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    u, _ = np.linalg.qr(z)
+    return systems.KrausSystem(np.stack([u @ a @ dag(u) for a in sys_.ops]))
+
+
+CASES = {
+    "bernoulli-L3": (fixtures.bernoulli_uniform, 3),
+    "aklt-L2": (fixtures.aklt, 2),
+    "period-two-L3": (fixtures.period_two, 3),
+    "rotated-random-L2": (lambda: _rotated_random(11), 2),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CASES))
+def case(request):
+    make, level = CASES[request.param]
+    p = build_pipeline(make())
+    rep = twosided.build(p.md, p.dual, level)
+    return p, rep, reference_build(p.md, p.dual, level)
+
+
+def _sorted_singular_values(ops):
+    return np.sort(np.linalg.svd(ops, compute_uv=False), axis=-1)
+
+
+def test_gram_matches_scalar_assembly(case):
+    _, rep, (gram, min_eig, _, _) = case
+    assert rep.gram.shape == gram.shape == (len(rep.raw_index),) * 2
+    assert np.max(np.abs(rep.gram - gram)) <= 1e-13
+    assert abs(rep.gram_min_eigenvalue - min_eig) <= 1e-12
+
+
+def test_shift_compressions_match(case):
+    _, rep, (_, _, right_ops, left_ops) = case
+    assert rep.right_ops.shape == right_ops.shape
+    assert rep.left_ops.shape == left_ops.shape
+    for new, ref in ((rep.right_ops, right_ops), (rep.left_ops, left_ops)):
+        diff = _sorted_singular_values(new) - _sorted_singular_values(ref)
+        assert np.max(np.abs(diff)) <= 1e-12
+
+
+def test_relations_match_direct_formula(case):
+    _, rep, _ = case
+    rel = twosided.check_relations(rep)
+    interior, boundary = reference_relations(rep)
+    for got, want in ((rel.interior, interior), (rel.boundary, boundary)):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert abs(got[key] - want[key]) <= 1e-13, key
+
+
+def test_moments_match_direct_formula(case):
+    p, rep, _ = case
+    window = rep.level - 1
+    got = twosided.moment_check(rep, p.comp_sys, p.comp_state, window)
+    want = reference_moments(rep, p.comp_sys, p.comp_state, window)
+    assert abs(got - want) <= 1e-13
