@@ -12,7 +12,7 @@ from math import gcd
 
 import numpy as np
 
-from .linalg import as_complex, dag, sandwich_super
+from .linalg import as_complex
 from .systems import InvariantState, KrausSystem, moment_table
 
 
@@ -20,19 +20,6 @@ def matrix_unit(d: int, i: int, j: int) -> np.ndarray:
     e = np.zeros((d, d), dtype=np.complex128)
     e[i, j] = 1.0
     return e
-
-
-def e_map_super(sys: KrausSystem, a) -> np.ndarray:
-    """Superoperator of the evaluation map B -> sum_ij a_ij v_i B v_j*."""
-    a = as_complex(a)
-    if a.shape != (sys.d, sys.d):
-        raise ValueError(f"site operator must be {sys.d} x {sys.d}")
-    out = np.zeros((sys.n**2, sys.n**2), dtype=np.complex128)
-    for i in range(sys.d):
-        for j in range(sys.d):
-            if a[i, j] != 0:
-                out += a[i, j] * sandwich_super(sys.ops[i], dag(sys.ops[j]))
-    return out
 
 
 def apply_e_map(sys: KrausSystem, a, b) -> np.ndarray:

@@ -47,11 +47,16 @@ def _default_level(d: int) -> int:
     return 3 if d == 2 else 2
 
 
-def _level(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"level must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int, what: str):
+    """Argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def cmd_analyze(args) -> int:
@@ -64,9 +69,15 @@ def cmd_analyze(args) -> int:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_VALIDATION
 
+    level = args.level
+    if level is None and not args.no_twosided:
+        level = _default_level(sys_.d)
+    two_doc = None
     try:
         report = purity.purity_battery(
             sys_, tol=args.tol, gauge_cutoff=args.cutoff)
+        if not args.no_twosided and report.is_ergodic:
+            two_doc = _run_twosided(report.pipeline, level)
     except systems.ValidationError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_VALIDATION
@@ -74,18 +85,6 @@ def cmd_analyze(args) -> int:
             twosided.TruncationError) as exc:
         print(f"internal consistency failure: {exc}", file=_sys.stderr)
         return EXIT_INTERNAL
-
-    level = args.level
-    if level is None and not args.no_twosided:
-        level = _default_level(sys_.d)
-    two_doc = None
-    if not args.no_twosided and report.is_ergodic:
-        try:
-            two_doc = _run_twosided(sys_, level, args.tol)
-        except (purity.InternalConsistencyError, modular.ModularError,
-                twosided.TruncationError) as exc:
-            print(f"internal consistency failure: {exc}", file=_sys.stderr)
-            return EXIT_INTERNAL
 
     provenance = {
         "input_sha256": hashlib.sha256(text.encode()).hexdigest(),
@@ -105,18 +104,12 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _run_twosided(sys_, level: int, tol: float) -> dict:
-    search = systems.invariant_states(sys_, tol=tol)
-    comp_sys, comp_state, _ = systems.compress_to_support(
-        sys_, search.mean_state, tol=tol)
-    can = systems.canonicalize(comp_sys, comp_state, tol=tol)
-    md = modular.modular_data(can, tol=tol)
-    dual = modular.dual_system(md, tol=tol)
-    rep = twosided.build(md, dual, level)
+def _run_twosided(p: purity.Pipeline, level: int) -> dict:
+    rep = twosided.build(p.md, p.dual, level)
     rel = twosided.check_relations(rep)
     shift = twosided.shift_check(rep)
     window = level - 1
-    deviation = twosided.moment_check(rep, comp_sys, comp_state, window)
+    deviation = twosided.moment_check(rep, p.comp_sys, p.comp_state, window)
     return {
         "level": level,
         "quotient_dim": rep.quotient_dim,
@@ -211,9 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="run the full certificate battery")
     pa.add_argument("input", help="system file path, or fixture:<name>")
     pa.add_argument("--tol", type=float, default=1e-9)
-    pa.add_argument("--cutoff", type=int, default=4,
+    pa.add_argument("--cutoff", type=_int_at_least(0, "cutoff"), default=4,
                     help="word-length cutoff for gauge-group detection")
-    pa.add_argument("--level", type=_level, default=None,
+    pa.add_argument("--level", type=_int_at_least(1, "level"), default=None,
                     help="truncation level of the two-sided check, >= 1 "
                          "(default 3 for d = 2, else 2)")
     pa.add_argument("--seed", type=int, default=None,
@@ -231,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pm = sub.add_parser("moments", help="print nonzero word moments")
     pm.add_argument("input", help="system file path, or fixture:<name>")
-    pm.add_argument("--max-len", type=int, default=3)
+    pm.add_argument("--max-len", type=_int_at_least(0, "max-len"), default=3)
     pm.add_argument("--tol", type=float, default=1e-9)
     pm.add_argument("--reverse-words", action="store_true",
                     help="use the reversed word-product convention")

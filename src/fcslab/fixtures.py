@@ -90,6 +90,10 @@ def by_name(name: str) -> KrausSystem:
     if name in _NAMED:
         return _NAMED[name]()
     if name.startswith("random-seeded:"):
-        seed = int(name.split(":", 1)[1])
-        return random_system(2, 2, seed)
+        seed = name.split(":", 1)[1]
+        try:
+            return random_system(2, 2, int(seed))
+        except ValueError:
+            raise KeyError(f"bad seed {seed!r} in fixture {name!r}; "
+                           "expected a non-negative integer") from None
     raise KeyError(f"unknown fixture {name!r}; known: {', '.join(fixture_names())}")

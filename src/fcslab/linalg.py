@@ -113,10 +113,6 @@ class AntilinearOp:
         """A o L for linear L."""
         return AntilinearOp(self.mat @ np.conj(as_complex(lin)))
 
-    def before_linear(self, lin: np.ndarray) -> "AntilinearOp":
-        """L o A for linear L."""
-        return AntilinearOp(as_complex(lin) @ self.mat)
-
     def sandwich(self, lin: np.ndarray) -> np.ndarray:
         """A o L o A for linear L: linear with matrix mat conj(L) conj(mat)."""
         return self.mat @ np.conj(as_complex(lin)) @ np.conj(self.mat)
@@ -128,16 +124,6 @@ def vec(x: np.ndarray) -> np.ndarray:
 
 def unvec(xi: np.ndarray, n: int) -> np.ndarray:
     return np.asarray(xi).reshape(n, n)
-
-
-def left_mult_super(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    return np.kron(a, np.eye(n))
-
-
-def right_mult_super(b: np.ndarray) -> np.ndarray:
-    n = b.shape[0]
-    return np.kron(np.eye(n), b.T)
 
 
 def sandwich_super(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -214,7 +200,8 @@ def solve_linear_space(constraints, ambient_dim: int,
     if not constraints:
         basis = np.eye(n2, dtype=np.complex128).reshape(n2, ambient_dim, ambient_dim)
         return OperatorSubspace(ambient_dim=ambient_dim, basis=basis)
-    stacked = np.vstack(constraints)
+    # one constraint is used as it is: stacking would copy it
+    stacked = constraints[0] if len(constraints) == 1 else np.vstack(constraints)
     # the stack has at least n^2 rows, so the reduced decomposition still
     # carries the full right-singular basis needed for the kernel
     u, s, vh = np.linalg.svd(stacked, full_matrices=False)

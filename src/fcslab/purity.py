@@ -1,8 +1,9 @@
 """Decision battery: factoriality, ergodicity, spectral mixing, and the
 dual-fixed-point purity certificate.
 
-The battery validates a system, finds invariant densities, compresses to the
-support, canonicalizes, builds the modular duals, and decides purity by the
+:func:`pipeline` validates a system, finds invariant densities, compresses to
+the support, canonicalizes and builds the modular duals, once.  The battery
+reads its verdicts from that pipeline and decides purity by the
 finite-dimensional certificate: the fixed points of the dual channel equal
 the represented algebra, together with ergodicity of the transfer channel.
 The infinite-volume statements this certifies are documented in the report
@@ -26,6 +27,43 @@ from .linalg import (
 
 class InternalConsistencyError(RuntimeError):
     """Two independent tests of the same mathematical fact disagreed."""
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """The stages of one analysis, each computed once.
+
+    ``diagnostics`` is the validation of the input system, ``search`` its
+    invariant densities, ``comp_sys``/``comp_state`` the system and mean
+    state compressed to the support, ``can`` the canonical (GNS) system,
+    ``md`` its modular data and ``dual`` the dual Kraus family.
+    """
+
+    diagnostics: systems.SystemDiagnostics
+    search: systems.InvariantSearch
+    comp_sys: systems.KrausSystem
+    comp_state: systems.InvariantState
+    can: systems.CanonicalSystem
+    md: modular.ModularData
+    dual: modular.DualSystem
+
+
+def pipeline(sys: systems.KrausSystem, tol: float = 1e-9) -> Pipeline:
+    """Validate, compress to the support, canonicalize, and build the modular
+    data and the dual family of a system."""
+    diag = systems.validate(sys, tol=tol)
+    if not diag.ok:
+        raise systems.ValidationError(
+            f"system failed validation: unit residual {diag.unit_residual:.3e}"
+        )
+    search = systems.invariant_states(sys, tol=tol)
+    comp_sys, comp_state, _ = systems.compress_to_support(
+        sys, search.mean_state, tol=tol)
+    can = systems.canonicalize(comp_sys, comp_state, tol=tol)
+    md = modular.modular_data(can, tol=tol)
+    dual = modular.dual_system(md, tol=tol)
+    return Pipeline(diagnostics=diag, search=search, comp_sys=comp_sys,
+                    comp_state=comp_state, can=can, md=md, dual=dual)
 
 
 def channel_spectrum(sys: systems.KrausSystem):
@@ -109,6 +147,7 @@ class PurityReport:
     gauge: chain.GaugeGroup | None
     gns_dim: int | None
     residuals: dict = field(repr=False)
+    pipeline: Pipeline = field(repr=False)
     notes: tuple = ()
 
 
@@ -127,24 +166,16 @@ def purity_battery(sys: systems.KrausSystem, tol: float = 1e-9,
     With a unique invariant density the purity verdict is the conjunction of
     ergodicity and the dual-fixed-point identity.  With several invariant
     densities ergodicity fails and purity is reported false with the fields
-    that presume ergodicity marked not applicable (None).
+    that presume ergodicity marked not applicable (None).  The report
+    carries the :class:`Pipeline` its verdicts were read from.
     """
-    residuals: dict = {}
-    diag = systems.validate(sys, tol=tol)
-    residuals["unitality"] = diag.unit_residual
-    if not diag.ok:
-        raise systems.ValidationError(
-            f"system failed validation: unit residual {diag.unit_residual:.3e}"
-        )
-
-    search = systems.invariant_states(sys, tol=tol)
-    multiplicity = search.multiplicity
+    p = pipeline(sys, tol=tol)
+    can = p.can
+    residuals: dict = {"unitality": p.diagnostics.unit_residual}
+    multiplicity = p.search.multiplicity
     spectrum = channel_spectrum(sys)
     mixing = kolmogorov_proxy(sys)
 
-    comp_sys, comp_state, _ = systems.compress_to_support(sys, search.mean_state,
-                                                          tol=tol)
-    can = systems.canonicalize(comp_sys, comp_state, tol=tol)
     erg = ergodicity(can, tol=subspace_tol)
 
     m = can.gns_dim
@@ -162,13 +193,11 @@ def purity_battery(sys: systems.KrausSystem, tol: float = 1e-9,
             "bug, not a mathematical outcome"
         )
 
-    gauge = chain.gauge_group(comp_sys, comp_state, length_cutoff=gauge_cutoff,
-                              tol=max(tol, 1e-9))
+    gauge = chain.gauge_group(p.comp_sys, p.comp_state,
+                              length_cutoff=gauge_cutoff, tol=max(tol, 1e-9))
 
-    md = modular.modular_data(can, tol=tol)
-    dual = modular.dual_system(md, tol=tol)
-    residuals.update({f"dual_{k}": v for k, v in dual.residuals.items()})
-    dual_super, dchan_res = modular.dual_channel(md, dual)
+    residuals.update({f"dual_{k}": v for k, v in p.dual.residuals.items()})
+    dual_super, dchan_res = modular.dual_channel(p.md, p.dual)
     residuals.update(dchan_res)
 
     fix_dual = solve_linear_space([dual_super - np.eye(m * m)], m, tol=tol)
@@ -202,5 +231,6 @@ def purity_battery(sys: systems.KrausSystem, tol: float = 1e-9,
         gauge=gauge,
         gns_dim=m,
         residuals=residuals,
+        pipeline=p,
         notes=(_INDIRECT_NOTE,),
     )

@@ -34,6 +34,8 @@ def _decode_matrix(rows, what: str) -> np.ndarray:
         )
     except (TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"bad {what}: entries must be [re, im] pairs") from exc
+    if not np.isfinite(out).all():
+        raise ParseError(f"bad {what}: entries must be finite")
     return out
 
 
@@ -64,6 +66,10 @@ def system_from_dict(doc) -> tuple:
         raise ParseError(f"missing or malformed field: {exc}") from exc
     if doc.get("version", FORMAT_VERSION) != FORMAT_VERSION:
         raise ParseError(f"unsupported format version {doc.get('version')}")
+    if n < 1 or d < 1:
+        raise ParseError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    if not isinstance(mats, list):
+        raise ParseError("field v must be a list of operators")
     if len(mats) != d:
         raise ParseError(f"expected {d} operators, found {len(mats)}")
     ops = np.stack([_decode_matrix(m, f"operator {k}") for k, m in enumerate(mats)])

@@ -30,6 +30,7 @@ from .linalg import (
     as_complex,
     dag,
     herm_eig,
+    solve_linear_space,
     vec,
     unvec,
 )
@@ -146,7 +147,7 @@ def invariant_states(sys: KrausSystem, tol: float = DEFAULT_TOL) -> InvariantSea
     """
     n = sys.n
     pre = sys.predual_super()
-    fixed = _fixed_space(pre, n, tol)
+    fixed = solve_linear_space([pre - np.eye(n * n)], n, tol=tol).basis
     multiplicity = fixed.shape[0]
 
     proj = _peripheral_projection(pre)
@@ -162,13 +163,6 @@ def invariant_states(sys: KrausSystem, tol: float = DEFAULT_TOL) -> InvariantSea
         extremes = _extreme_states(sys, fixed, rho_bar, tol)
     return InvariantSearch(multiplicity=multiplicity, mean_state=mean,
                            extreme_states=extremes)
-
-
-def _fixed_space(super_mat: np.ndarray, n: int, tol: float) -> np.ndarray:
-    u, s, vh = np.linalg.svd(super_mat - np.eye(n * n))
-    smax = max(1.0, float(s[0]))
-    rank = int(np.sum(s > tol * smax))
-    return vh[rank:].conj().reshape(-1, n, n)
 
 
 def _extreme_states(sys, fixed, rho_bar, tol):
@@ -254,10 +248,6 @@ class CanonicalSystem:
     @property
     def gns_dim(self) -> int:
         return self.pi_ops.shape[1]
-
-    def phi_vector(self, x: np.ndarray) -> complex:
-        """<Omega, x Omega> for an operator x on the GNS space."""
-        return complex(np.conj(self.omega) @ (as_complex(x) @ self.omega))
 
     def represent(self, x: np.ndarray) -> np.ndarray:
         """Matrix of left multiplication by x on the GNS space."""

@@ -5,11 +5,10 @@ a terminal-summary hook prints them at the end of the run so the verdicts
 are visible regardless of output capturing.
 """
 
-from types import SimpleNamespace
-
 import pytest
 
-from fcslab import fixtures, modular, systems
+from fcslab import fixtures
+from fcslab.purity import pipeline as build_pipeline
 
 ACCEPTANCE_RESULTS = []
 
@@ -19,21 +18,6 @@ RANDOM_SHAPES = [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3)]
 RANDOM_CASES = [
     (seed, *RANDOM_SHAPES[seed % len(RANDOM_SHAPES)]) for seed in range(25)
 ]
-
-
-def build_pipeline(sys_, tol=1e-9):
-    """Validate, compress to the support, canonicalize, build modular data
-    and the dual family.  Returns all intermediate stages."""
-    search = systems.invariant_states(sys_, tol=tol)
-    comp_sys, comp_state, iso = systems.compress_to_support(
-        sys_, search.mean_state, tol=tol)
-    can = systems.canonicalize(comp_sys, comp_state, tol=tol)
-    md = modular.modular_data(can, tol=tol)
-    dual = modular.dual_system(md, tol=tol)
-    return SimpleNamespace(
-        sys=sys_, search=search, comp_sys=comp_sys, comp_state=comp_state,
-        isometry=iso, can=can, md=md, dual=dual,
-    )
 
 
 @pytest.fixture(scope="session")

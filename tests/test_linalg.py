@@ -98,7 +98,9 @@ class TestOperatorSubspace:
     def test_solve_linear_space_kernel(self):
         # commutant of sigma_z inside M_2: the diagonal
         sz = np.diag([1.0, -1.0]).astype(complex)
-        constraint = linalg.left_mult_super(sz) - linalg.right_mult_super(sz)
+        eye = np.eye(2)
+        constraint = (linalg.sandwich_super(sz, eye)
+                      - linalg.sandwich_super(eye, sz))
         space = linalg.solve_linear_space([constraint], 2)
         assert space.dim == 2
         ok, _ = space.contains(np.diag([1.0, 5.0]).astype(complex))
