@@ -11,7 +11,6 @@ import numpy as np
 
 from .linalg import (
     KERNEL_TOL,
-    SUBSPACE_TOL,
     OperatorSubspace,
     as_complex,
     dag,
@@ -52,23 +51,28 @@ def generated_algebra(gens, ambient_dim: int,
 
 def commutant(space: OperatorSubspace,
               tol: float = KERNEL_TOL) -> OperatorSubspace:
-    """Commutant {x : [x, b] = 0 for every basis element b}."""
+    """Commutant of a *-closed subspace A: the range of the twirl
+    ``Phi(x) = sum_b b x b*`` over an orthonormal basis {b} of A.
+
+    Phi does not depend on the basis, so it commutes with conjugation by the
+    unitaries of A and maps into A'.  For A = (+)_i M_{k_i} (x) 1_{l_i} it
+    multiplies the i-th block of A' by k_i / l_i > 0 and is zero on the
+    complement of A'; in standard form it is the projector onto A'.  Its
+    range is read off one eigh, keeping eigenvalues above tol * max(1, top).
+    """
     if not space.is_star_closed():
         raise NotStarClosedError("commutant requires a *-closed subspace")
-    n = space.ambient_dim
-    eye = np.eye(n)
-    constraints = [
-        sandwich_super(b, eye) - sandwich_super(eye, b) for b in space.basis
-    ]
-    return solve_linear_space(constraints, n, tol=tol)
+    n, b = space.ambient_dim, space.basis
+    twirl = np.einsum("bij,bkl->ikjl", b, np.conj(b), optimize=True)
+    w, u = np.linalg.eigh(twirl.reshape(n * n, n * n))
+    keep = w > tol * max(1.0, float(w[-1]))
+    return OperatorSubspace(ambient_dim=n, basis=u[:, keep].T)
 
 
-def center_and_factor(space: OperatorSubspace, tol: float = SUBSPACE_TOL):
+def center_and_factor(space: OperatorSubspace):
     """Center of a *-closed algebra and whether it is a factor."""
-    c = commutant(space)
-    center = subspace_intersection(space, c)
-    is_factor = center.dim == 1
-    return center, is_factor
+    center = subspace_intersection(space, commutant(space))
+    return center, center.dim == 1
 
 
 def channel_super(kraus) -> np.ndarray:

@@ -21,7 +21,8 @@ import sys as _sys
 
 import numpy as np
 
-from . import __version__, fixtures, modular, purity, serialize, systems, twosided
+from . import (__version__, fixtures, linalg, modular, purity, serialize,
+               systems, twosided)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -82,7 +83,8 @@ def cmd_analyze(args) -> int:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_VALIDATION
     except (purity.InternalConsistencyError, modular.ModularError,
-            twosided.TruncationError) as exc:
+            twosided.TruncationError, linalg.NotPositiveError,
+            linalg.NonHermitianError) as exc:
         print(f"internal consistency failure: {exc}", file=_sys.stderr)
         return EXIT_INTERNAL
 

@@ -151,41 +151,40 @@ class OperatorSubspace:
     basis: np.ndarray = field(repr=False)  # (k, n, n)
 
     def __post_init__(self):
-        b = as_complex(self.basis)
-        if b.ndim != 3:
-            b = b.reshape(-1, self.ambient_dim, self.ambient_dim)
-        object.__setattr__(self, "basis", b)
+        n = self.ambient_dim
+        object.__setattr__(self, "basis", as_complex(self.basis).reshape(-1, n, n))
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
 
+    @property
+    def rows(self) -> np.ndarray:
+        """The basis as vec'd rows, shape (k, n^2)."""
+        return self.basis.reshape(self.dim, self.ambient_dim**2)
+
     @classmethod
     def from_matrices(cls, mats, ambient_dim: int, tol: float = KERNEL_TOL):
-        basis = orthonormalize_matrices(mats, tol=tol)
-        if basis.size == 0:
-            basis = np.zeros((0, ambient_dim, ambient_dim), dtype=np.complex128)
-        return cls(ambient_dim=ambient_dim, basis=basis)
-
-    def projector(self) -> np.ndarray:
-        """Orthogonal projection onto the subspace, acting on vec(x)."""
-        n2 = self.ambient_dim**2
-        if self.dim == 0:
-            return np.zeros((n2, n2), dtype=np.complex128)
-        b = self.basis.reshape(self.dim, n2)
-        return b.T @ np.conj(b)
+        return cls(ambient_dim=ambient_dim,
+                   basis=orthonormalize_matrices(mats, tol=tol))
 
     def contains(self, x, tol: float = SUBSPACE_TOL):
         """Membership test; returns (bool, residual norm)."""
-        x = as_complex(x)
-        xv = vec(x)
-        res = xv - self.projector() @ xv
-        r = float(np.linalg.norm(res))
+        xv = vec(as_complex(x))
+        r = float(np.linalg.norm(outside_component(xv[:, None], self)))
         scale = max(1.0, float(np.linalg.norm(xv)))
         return r <= tol * scale, r
 
     def is_star_closed(self, tol: float = SUBSPACE_TOL) -> bool:
-        return all(self.contains(dag(b), tol=tol)[0] for b in self.basis)
+        adjoints = np.conj(self.basis.transpose(0, 2, 1)).reshape(self.rows.shape)
+        res = outside_component(adjoints.T, self)
+        return bool(np.all(np.linalg.norm(res, axis=0) <= tol))
+
+
+def outside_component(cols: np.ndarray, space: OperatorSubspace) -> np.ndarray:
+    """Component of the vec'd columns ``cols`` (n^2 x k) orthogonal to space."""
+    b = space.rows
+    return cols - b.T @ (np.conj(b) @ cols)
 
 
 def solve_linear_space(constraints, ambient_dim: int,
@@ -195,40 +194,36 @@ def solve_linear_space(constraints, ambient_dim: int,
     Each constraint is an ``n^2 x n^2`` superoperator acting on vec(x).  The
     empty constraint list yields the full matrix space.
     """
-    n2 = ambient_dim**2
     constraints = [as_complex(c) for c in constraints]
     if not constraints:
-        basis = np.eye(n2, dtype=np.complex128).reshape(n2, ambient_dim, ambient_dim)
-        return OperatorSubspace(ambient_dim=ambient_dim, basis=basis)
+        return OperatorSubspace(ambient_dim=ambient_dim,
+                                basis=np.eye(ambient_dim**2))
     # one constraint is used as it is: stacking would copy it
     stacked = constraints[0] if len(constraints) == 1 else np.vstack(constraints)
     # the stack has at least n^2 rows, so the reduced decomposition still
     # carries the full right-singular basis needed for the kernel
-    u, s, vh = np.linalg.svd(stacked, full_matrices=False)
+    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
     smax = max(1.0, float(s[0]) if s.size else 1.0)
     rank = int(np.sum(s > tol * smax))
-    null = vh[rank:].conj()
-    basis = null.reshape(-1, ambient_dim, ambient_dim)
-    return OperatorSubspace(ambient_dim=ambient_dim, basis=basis)
+    return OperatorSubspace(ambient_dim=ambient_dim, basis=vh[rank:].conj())
 
 
 def subspace_contains(inner: OperatorSubspace, outer: OperatorSubspace,
                       tol: float = SUBSPACE_TOL):
-    """Whether inner is contained in outer; returns (bool, residual)."""
+    """Whether inner is contained in outer; returns (bool, residual), the
+    2-norm of inner's basis outside outer (sine of the largest angle)."""
     if inner.ambient_dim != outer.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     if inner.dim == 0:
         return True, 0.0
     residual = float(np.linalg.norm(
-        (np.eye(inner.ambient_dim**2) - outer.projector()) @ inner.projector(),
-        ord=2,
-    ))
+        outside_component(inner.rows.T, outer), ord=2))
     return residual <= tol, residual
 
 
 def subspace_equal(a: OperatorSubspace, b: OperatorSubspace,
                    tol: float = SUBSPACE_TOL):
-    """Subspace equality via mutual projections; returns (bool, max angle)."""
+    """Subspace equality via mutual containment; returns (bool, max angle)."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     _, r_ab = subspace_contains(a, b, tol=tol)
@@ -240,11 +235,14 @@ def subspace_equal(a: OperatorSubspace, b: OperatorSubspace,
 
 def subspace_intersection(a: OperatorSubspace, b: OperatorSubspace,
                           tol: float = KERNEL_TOL) -> OperatorSubspace:
-    """Intersection of two subspaces of the same ambient matrix space."""
+    """Intersection of two subspaces of the same ambient matrix space: the
+    kernel of a's basis outside b, mapped back through a's basis."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    n2 = a.ambient_dim**2
-    eye = np.eye(n2)
-    return solve_linear_space(
-        [eye - a.projector(), eye - b.projector()], a.ambient_dim, tol=tol
-    )
+    if a.dim == 0:
+        return a
+    _, s, vh = np.linalg.svd(outside_component(a.rows.T, b),
+                             full_matrices=False)
+    rank = int(np.sum(s > tol * max(1.0, float(s[0]))))
+    coeffs = vh[rank:].conj()
+    return OperatorSubspace(ambient_dim=a.ambient_dim, basis=coeffs @ a.rows)

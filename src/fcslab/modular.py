@@ -190,25 +190,21 @@ def dual_channel(md: ModularData, dual: DualSystem,
     """Superoperator of y -> sum_k w_k y w_k* plus the duality residual.
 
     The duality <y Omega, tau(x) Omega> = <tau~(y) Omega, x Omega> is
-    verified over basis pairs x in the algebra, y in its commutant.
+    verified over all basis pairs x in the algebra, y in its commutant, as
+    the largest entry of the difference of two Gram matrices.
     """
     duals = dual.ops
     super_mat = algebras.channel_super(duals)
-    m = md.gns_dim
-    unital = float(np.linalg.norm(
-        sum(w @ dag(w) for w in duals) - np.eye(m)))
 
     omega = md.omega
-    comm = algebras.commutant(md.can.algebra)
-    res = 0.0
-    for x in md.can.algebra.basis:
-        tx = sum(a @ x @ dag(a) for a in md.pi_ops)
-        for y in comm.basis:
-            ty = sum(w @ y @ dag(w) for w in duals)
-            lhs = np.conj(y @ omega) @ (tx @ omega)
-            rhs = np.conj(ty @ omega) @ (x @ omega)
-            res = max(res, abs(lhs - rhs))
+    xs = md.can.algebra.basis
+    ys = algebras.commutant(md.can.algebra).basis
+    tx = sum(a @ xs @ dag(a) for a in md.pi_ops)
+    ty = sum(w @ ys @ dag(w) for w in duals)
+    lhs = np.conj(ys @ omega) @ (tx @ omega).T
+    rhs = np.conj(ty @ omega) @ (xs @ omega).T
+    res = float(np.max(np.abs(lhs - rhs)))
     if res > max(tol, 1e-9) * 10:
         raise DualConstructionError(
             f"channel duality failed (residual {res:.3e})")
-    return super_mat, {"dual_unitality": unital, "kms_duality": float(res)}
+    return super_mat, {"kms_duality": res}

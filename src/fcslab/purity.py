@@ -18,7 +18,6 @@ import numpy as np
 
 from . import algebras, chain, modular, systems
 from .linalg import (
-    OperatorSubspace,
     solve_linear_space,
     subspace_contains,
     subspace_equal,
@@ -92,8 +91,7 @@ def ergodicity(can: systems.CanonicalSystem,
     Cross-checked against triviality of the center; disagreement between the
     two equivalent tests raises an internal-consistency error.
     """
-    m = can.gns_dim
-    basis = can.algebra.basis.reshape(can.algebra.dim, m * m)
+    basis = can.algebra.rows
     super_mat = algebras.channel_super(can.pi_ops)
     restricted = np.conj(basis) @ super_mat @ basis.T
     w = np.linalg.eigvals(restricted)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from fcslab import cli, modular, serialize, fixtures, systems
@@ -149,3 +150,26 @@ def test_tol_reaches_twosided_pipeline(tmp_path, monkeypatch):
     # once: the purity battery and the two-sided check share one pipeline
     for _, name in stages:
         assert [tol for n, tol in calls if n == name] == [2e-9], name
+
+
+def _amplitude_damping(eps, gamma=0.5):
+    """Generalized amplitude damping, v_k = K_k*, invariant diag(1-eps, eps)."""
+    p = 1.0 - eps
+    e01 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    kraus = [np.sqrt(p) * np.diag([1.0, np.sqrt(1 - gamma)]),
+             np.sqrt(p * gamma) * e01,
+             np.sqrt(1 - p) * np.diag([np.sqrt(1 - gamma), 1.0]),
+             np.sqrt((1 - p) * gamma) * e01.T]
+    return systems.KrausSystem(ops=np.stack([k.conj().T for k in kraus]))
+
+
+def test_singular_modular_operator_is_an_internal_failure(tmp_path, capsys):
+    # at eps = 1e-8 the modular operator is singular to working precision and
+    # its inverse square root is refused inside linalg
+    path = tmp_path / "gad.json"
+    path.write_text(serialize.dumps_system(_amplitude_damping(1e-8)))
+    assert run(["analyze", str(path), "-o", str(tmp_path / "r.json")]) \
+        == cli.EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines()
+                if line.startswith("internal consistency failure:")]) == 1

@@ -87,7 +87,7 @@ def test_dual_word_vector_identity_spotcheck(aklt_pipeline):
 def test_dual_channel_duality(generic):
     super_mat, res = modular.dual_channel(generic.md, generic.dual)
     assert res["kms_duality"] < 1e-9
-    assert res["dual_unitality"] < 1e-10
+    assert generic.dual.residuals["dual_unitality"] < 1e-10
     m = generic.md.gns_dim
     assert super_mat.shape == (m * m, m * m)
 
@@ -99,3 +99,25 @@ def test_corrupted_duals_are_rejected(aklt_pipeline):
     res = modular.dual_diagnostics(md, bad)
     assert res["dual_word_vectors"] > 1e-2
     assert res["moment_duality"] > 1e-2
+
+
+def test_kms_duality_matches_pairwise_loop(generic):
+    # perturbed duals make the residual O(1e-1), so the comparison is not
+    # between two roundoff-level numbers
+    from fcslab import algebras
+    md = generic.md
+    comm = algebras.commutant(md.can.algebra)
+    rng = np.random.default_rng(3)
+    ops = generic.dual.ops + 0.1 * rng.normal(size=generic.dual.ops.shape)
+    _, res = modular.dual_channel(md, modular.DualSystem(ops=ops, residuals={}),
+                                  tol=1.0)
+    omega = md.omega
+    ref = 0.0
+    for x in md.can.algebra.basis:
+        tx = sum(a @ x @ dag(a) for a in md.pi_ops)
+        for y in comm.basis:
+            ty = sum(w @ y @ dag(w) for w in ops)
+            ref = max(ref, abs(np.vdot(y @ omega, tx @ omega)
+                               - np.vdot(ty @ omega, x @ omega)))
+    assert ref > 1e-3
+    assert abs(res["kms_duality"] - ref) <= 1e-12
