@@ -60,6 +60,18 @@ def _int_at_least(low: int, what: str):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """Argparse type: a finite number above zero."""
+    value = float(text)
+    if not 0 < value < np.inf:  # also false for nan
+        raise argparse.ArgumentTypeError(
+            f"tol must be a positive finite number, got {text}")
+    return value
+
+
+_positive_float.__name__ = "float"  # as in "invalid float value"
+
+
 def cmd_analyze(args) -> int:
     try:
         sys_, text = _load(args.input, seed=args.seed)
@@ -205,11 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="run the full certificate battery")
     pa.add_argument("input", help="system file path, or fixture:<name>")
-    pa.add_argument("--tol", type=float, default=1e-9)
+    pa.add_argument("--tol", type=_positive_float, default=1e-9)
     pa.add_argument("--cutoff", type=_int_at_least(0, "cutoff"), default=4,
                     help="word-length cutoff for gauge-group detection")
-    pa.add_argument("--level", type=_int_at_least(1, "level"), default=None,
-                    help="truncation level of the two-sided check, >= 1 "
+    pa.add_argument("--level", type=_int_at_least(2, "level"), default=None,
+                    help="truncation level of the two-sided check, >= 2 "
                          "(default 3 for d = 2, else 2)")
     pa.add_argument("--seed", type=int, default=None,
                     help="seed override for the built-in random fixture")
@@ -227,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser("moments", help="print nonzero word moments")
     pm.add_argument("input", help="system file path, or fixture:<name>")
     pm.add_argument("--max-len", type=_int_at_least(0, "max-len"), default=3)
-    pm.add_argument("--tol", type=float, default=1e-9)
+    pm.add_argument("--tol", type=_positive_float, default=1e-9)
     pm.add_argument("--reverse-words", action="store_true",
                     help="use the reversed word-product convention")
     pm.set_defaults(func=cmd_moments)

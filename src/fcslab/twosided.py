@@ -3,9 +3,10 @@
 Builds a level-L truncation of the Hilbert space carrying two commuting
 isometry families: raw vectors are indexed by (left word, right word, basis
 vector of the canonical space), the semi-inner product is assembled from the
-prefix rules below, and operators act by word shifts.  Positive
-semidefiniteness of the assembled Gram matrix is a hard validity check of
-the inner-product rules against the constructed dual operators.
+prefix rules below, and operators act by word shifts.  The raw vectors with
+both words of length L are an orthonormal quotient basis, so the Gram G must
+factor as Q^H Q through their rows Q: a hard validity check of the rules
+against the constructed dual operators.
 
 Inner-product rules (forward word products, excess words as suffixes):
 with bra (A?, A, f) and ket (B?, B, g), the entry vanishes unless the left
@@ -29,16 +30,10 @@ from .linalg import dag
 from .modular import DualSystem, ModularData
 from .systems import InvariantState, KrausSystem, word_operators, words
 
-GRAM_KERNEL_TOL = 1e-9
-GRAM_NEGATIVITY_HARD = -1e-6
+FACTOR_RESIDUAL_HARD = 1e-6
 
-# Memory guard of `build`, checked before anything is allocated.  At its
-# peak, while the Gram is diagonalized, `build` holds BUILD_SQUARE_ARRAYS
-# dense N x N complex arrays, N the raw dimension: the Gram, its Hermitian
-# copy, the eigensolver's working copy, the eigenvectors, and LAPACK
-# workspace of about two more (the resident set grows by 6.1 such arrays at
-# N = 676 and N = 900).
-BUILD_SQUARE_ARRAYS = 6
+# Memory guard of `build`, checked before anything is allocated: the (q, N)
+# quotient map and the 2d (q, q) shift compressions, 16 bytes per entry.
 BUILD_BYTES_BUDGET = 2**30
 
 
@@ -50,8 +45,7 @@ class TruncationError(RuntimeError):
 class TwoSidedRep:
     level: int
     raw_index: tuple = field(repr=False)  # ((left, right, alpha), ...)
-    gram: np.ndarray = field(repr=False)
-    gram_min_eigenvalue: float
+    gram_min_eigenvalue: float  # -||G - Q^H Q||_F, a lower bound on lambda_min
     quotient_map: np.ndarray = field(repr=False)  # (q, N): raw coords -> quotient
     right_ops: np.ndarray = field(repr=False)  # (d, q, q), compressions
     left_ops: np.ndarray = field(repr=False)  # (d, q, q)
@@ -99,89 +93,87 @@ def _pair_table(bra_words, ket_words, tab):
 def _fill_gram(out, left, right, right_side):
     """Write the Gram of raw bra vectors against raw ket vectors into out.
 
+    left is the _pair_table of the left bra words against the left ket words
+    (from the duals) and right, right_side that of the right words (from v).
     Raw vectors are ordered (left word, right word, alpha), so out viewed as
-    (nw, nw, m, nw, nw, m) is indexed [i, k, alpha, j, l, beta] with (i, j)
-    the left-word pair and (k, l) the right-word pair.  The entry is
+    (nbl, nbr, m, nkl, nkr, m) is indexed [i, k, alpha, j, l, beta] with
+    (i, j) the left-word pair and (k, l) the right-word pair.  The entry is
     (X Y)[alpha, beta] with X = left[i, j], Y = right[k, l] when the right
     excess sits on the ket side and (Y X)[alpha, beta] when it sits on the
     bra side.  Blocks of unrelated right words are left untouched (zero).
     """
-    nw, m = left.shape[0], left.shape[2]
-    blocks = out.reshape(nw, nw, m, nw, nw, m)
+    (nbl, nkl, m, _), (nbr, nkr) = left.shape, right_side.shape
+    blocks = out.reshape(nbl, nbr, m, nkl, nkr, m)
     for k, l in zip(*np.nonzero(right_side)):
         y = right[k, l]
         xy = left @ y if right_side[k, l] > 0 else y @ left  # [i, j, alpha, beta]
         blocks[:, k, :, :, l, :] = xy.transpose(0, 2, 1, 3)
 
 
+def _factor_residual(qmap, word_list, wtab, vtab) -> float:
+    """||G - Q^H Q||_F for the raw Gram G, one left bra word's rows at a time."""
+    left, _ = _pair_table(word_list, word_list, wtab)
+    right = _pair_table(word_list, word_list, vtab)
+    rows = qmap.shape[1] // len(word_list)
+    total = 0.0
+    for i in range(len(word_list)):
+        block = np.zeros((rows, qmap.shape[1]), dtype=np.complex128)
+        _fill_gram(block, left[i:i + 1], *right)
+        block -= dag(qmap[:, i * rows:(i + 1) * rows]) @ qmap
+        total += float(np.vdot(block, block).real)
+    return float(np.sqrt(total))
+
+
 def build(md: ModularData, dual: DualSystem, level: int) -> TwoSidedRep:
-    """Assemble the level-L truncated two-sided representation."""
-    if level < 1:
-        raise ValueError("level must be >= 1")
+    """Assemble the level-L truncated two-sided representation.
+
+    The top raw vectors (both words of length L) have the identity as Gram
+    block and span the shorter ones, as sum_k v_k v_k* = sum_k w_k w_k* = 1.
+    """
+    if level < 2:
+        raise ValueError("level must be >= 2")
     d = md.pi_ops.shape[0]
     m = md.gns_dim
     raw_dim = _word_count(d, level) ** 2 * m
-    need = BUILD_SQUARE_ARRAYS * raw_dim * raw_dim * 16
+    q = d ** (2 * level) * m
+    need = 16 * (q * raw_dim + 2 * d * q * q)
     if need > BUILD_BYTES_BUDGET:
         raise TruncationError(
-            f"level {level} needs about {need / 2**20:.0f} MiB for "
-            f"{BUILD_SQUARE_ARRAYS} dense complex arrays of raw dimension "
-            f"{raw_dim}, over the budget of {BUILD_BYTES_BUDGET / 2**20:.0f} MiB"
+            f"level {level} needs about {need / 2**20:.0f} MiB for the "
+            f"{q} x {raw_dim} quotient map and {2 * d} shift compressions, "
+            f"over the budget of {BUILD_BYTES_BUDGET / 2**20:.0f} MiB"
         )
 
     word_list = words(d, level)
+    top = words(d, level, level)
     vtab = word_operators(md.pi_ops, level + 1)
     wtab = word_operators(dual.ops, level + 1)
 
-    raw_index = tuple(
-        (lw, rw, alpha)
-        for lw in word_list for rw in word_list for alpha in range(m)
-    )
+    raw_index = tuple((lw, rw, alpha) for lw in word_list
+                      for rw in word_list for alpha in range(m))
 
     # Left excess words contribute the duals w_E, right excess words v_F.
-    left, _ = _pair_table(word_list, word_list, wtab)
-    right, right_side = _pair_table(word_list, word_list, vtab)
-    gram = np.zeros((raw_dim, raw_dim), dtype=np.complex128)
-    _fill_gram(gram, left, right, right_side)
-
-    herm = dag(gram)
-    herm += gram
-    herm *= 0.5
-    evals, evecs = np.linalg.eigh(herm)
-    del herm
-    top = max(float(evals[-1]), 1.0)
-    if evals[0] < GRAM_NEGATIVITY_HARD * top:
+    quotient_map = np.zeros((q, raw_dim), dtype=np.complex128)
+    _fill_gram(quotient_map, _pair_table(top, word_list, wtab)[0],
+               *_pair_table(top, word_list, vtab))
+    # By Weyl's inequality -residual is a lower bound on lambda_min(G).
+    residual = _factor_residual(quotient_map, word_list, wtab, vtab)
+    if residual > FACTOR_RESIDUAL_HARD:
         raise TruncationError(
-            f"Gram matrix significantly negative (min eigenvalue {evals[0]:.3e}); "
-            "dual construction or convention error"
+            f"Gram matrix does not factor through the top raw vectors "
+            f"(residual {residual:.3e}); dual construction or convention error"
         )
-    keep = evals > GRAM_KERNEL_TOL * top
-    # raw coordinates of an orthonormal quotient basis
-    w_raw = evecs[:, keep] / np.sqrt(evals[keep])
-    del evecs
-    w_dag = dag(w_raw)
-    quotient_map = w_dag @ gram  # (q, N): raw vector -> quotient coords
-    q = quotient_map.shape[0]
 
-    # Compressed operators against the orthonormal quotient basis: S_k and
-    # Stilde_k prepend the letter k to the right and the left word, so their
-    # matrices are dag(w_raw) G_k w_raw with G_k the Gram of the raw basis
-    # against the shifted raw basis.  One buffer serves all 2d cross-Grams.
-    shifted = np.empty((raw_dim, raw_dim), dtype=np.complex128)
-
-    def compress(pair_left, pair_right, pair_side):
-        shifted.fill(0)
-        _fill_gram(shifted, pair_left, pair_right, pair_side)
-        return (w_dag @ shifted) @ w_raw
-
-    right_ops = np.empty((d, q, q), dtype=np.complex128)
-    left_ops = np.empty((d, q, q), dtype=np.complex128)
+    # S_k and Stilde_k prepend the letter k to the right and the left word,
+    # so their compressions are the top-by-top blocks of the cross-Grams of
+    # the raw basis against the shifted raw basis.
+    left_top, _ = _pair_table(top, top, wtab)
+    right_top = _pair_table(top, top, vtab)
+    right_ops, left_ops = np.zeros((2, d, q, q), dtype=np.complex128)
     for k in range(d):
-        ext = [(k,) + w for w in word_list]
-        right_ops[k] = compress(left, *_pair_table(word_list, ext, vtab))
-        left_ops[k] = compress(_pair_table(word_list, ext, wtab)[0],
-                               right, right_side)
-    del shifted
+        ext = [(k,) + w for w in top]
+        _fill_gram(right_ops[k], left_top, *_pair_table(top, ext, vtab))
+        _fill_gram(left_ops[k], _pair_table(top, ext, wtab)[0], *right_top)
 
     corner = quotient_map[:, :m]  # raw vectors ((), (), alpha)
     p_corner = corner @ dag(corner)
@@ -194,8 +186,7 @@ def build(md: ModularData, dual: DualSystem, level: int) -> TwoSidedRep:
     return TwoSidedRep(
         level=level,
         raw_index=raw_index,
-        gram=gram,
-        gram_min_eigenvalue=float(evals[0]),
+        gram_min_eigenvalue=-residual,
         quotient_map=quotient_map,
         right_ops=right_ops,
         left_ops=left_ops,
@@ -206,23 +197,19 @@ def build(md: ModularData, dual: DualSystem, level: int) -> TwoSidedRep:
     )
 
 
-def _orthonormal_columns(cols: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    rank = int(np.sum(s > tol * max(1.0, float(s[0]))))
-    return u[:, :rank]
+def _domain(qmap: np.ndarray, d: int, level: int, left_len: int,
+            right_len: int) -> np.ndarray:
+    """ON basis (q, dim) of the span of raw vectors with shorter words.
 
-
-def _domain(qmap: np.ndarray, d: int, level: int, max_left: int,
-            max_right: int) -> np.ndarray:
-    """ON basis spanned by the raw vectors with word lengths within bounds.
-
-    qmap maps raw coordinates to quotient coordinates; raw vectors are
-    ordered (left word, right word, alpha) with words sorted by length.
+    The raw vectors whose words have exactly these lengths are orthonormal
+    and span those with shorter words, as the top vectors do; their columns
+    of qmap, ordered (left word, right word, alpha), are the basis.
     """
     q, nw = qmap.shape[0], _word_count(d, level)
     cols = qmap.reshape(q, nw, nw, -1)
-    cols = cols[:, :_word_count(d, max_left), :_word_count(d, max_right)]
-    return _orthonormal_columns(cols.reshape(q, -1))
+    left = slice(_word_count(d, left_len - 1), _word_count(d, left_len))
+    right = slice(_word_count(d, right_len - 1), _word_count(d, right_len))
+    return cols[:, left, right].reshape(q, -1)
 
 
 @dataclass(frozen=True)

@@ -94,12 +94,24 @@ def test_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("level", ["0", "-1"])
+@pytest.mark.parametrize("level", ["0", "-1", "1"])
 def test_level_below_one_is_a_parse_error(level, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["analyze", "fixture:aklt", "--level", level])
     assert exc.value.code == cli.EXIT_PARSE
-    assert "level must be >= 1" in capsys.readouterr().err
+    assert "level must be >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "moments"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_tol_must_be_positive_and_finite(command, tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "fixture:aklt", "--tol", tol])
+    assert exc.value.code == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"fcslab {command}: error: argument --tol: "
+        f"tol must be a positive finite number, got {tol}"]
 
 
 @pytest.mark.parametrize("argv, system", [

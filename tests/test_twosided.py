@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from fcslab import twosided
+from conftest import build_pipeline
+from fcslab import fixtures, twosided
 
 
 @pytest.fixture(scope="module")
@@ -23,19 +26,33 @@ class TestBuild:
             assert rep.quotient_dim > 0
 
     def test_level_validation(self, aklt_pipeline):
-        with pytest.raises(ValueError):
-            twosided.build(aklt_pipeline.md, aklt_pipeline.dual, level=0)
+        for level in (0, 1):
+            with pytest.raises(ValueError, match="level must be >= 2"):
+                twosided.build(aklt_pipeline.md, aklt_pipeline.dual, level)
 
     def test_dimension_guard(self, aklt_pipeline):
         with pytest.raises(twosided.TruncationError):
             twosided.build(aklt_pipeline.md, aklt_pipeline.dual, level=4)
 
     def test_memory_guard_message(self, aklt_pipeline):
-        # N = 40^2 * 4 = 6400: six 655 MB arrays, refused before allocation
+        # q = 3^6 * 4 = 2916, N = 40^2 * 4 = 6400: Q and six q x q
+        # compressions, refused before allocation
         with pytest.raises(twosided.TruncationError,
-                           match=r"about 3750 MiB .* raw dimension 6400, "
-                                 r"over the budget of 1024 MiB"):
+                           match=r"about 1063 MiB for the 2916 x 6400 quotient "
+                                 r"map .* over the budget of 1024 MiB"):
             twosided.build(aklt_pipeline.md, aklt_pipeline.dual, level=3)
+
+    @pytest.mark.parametrize("make, corrupt", [
+        (fixtures.aklt, lambda p: 1.1 * p.dual.ops),
+        (fixtures.aklt, lambda p: np.conj(np.swapaxes(p.md.pi_ops, 1, 2))),
+        (lambda: fixtures.random_system(2, 2, 5),
+         lambda p: np.conj(p.dual.ops)),
+    ], ids=["scaled-duals", "v-star-duals", "conjugated-duals"])
+    def test_corrupted_duals_are_refused(self, make, corrupt):
+        p = build_pipeline(make())
+        bad = dataclasses.replace(p.dual, ops=corrupt(p))
+        with pytest.raises(twosided.TruncationError, match="does not factor"):
+            twosided.build(p.md, bad, level=2)
 
     def test_vacuum_is_normalized(self, bernoulli_rep):
         _, rep = bernoulli_rep

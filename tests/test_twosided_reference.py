@@ -1,11 +1,16 @@
 """Block-level two-sided assembly against the scalar reference.
 
 The reference below assembles the Gram one entry at a time from the prefix
-rules, with a matrix product per entry, and builds each shift compression
-one raw column at a time.  Its cost is quadratic in the raw dimension N
-times an m x m product, so it serves only as a small-N oracle (N <= 900
-here).  ``moment_check`` and ``check_relations`` are compared with their
-direct formulas on the same representation.
+rules, with a matrix product per entry, finds the quotient from the Gram's
+eigendecomposition with a kernel cut, and builds each shift compression one
+raw column at a time.  Its cost is quadratic in the raw dimension N times an
+m x m product, plus an N x N eigh, so it serves only as a small-N oracle
+(N <= 900 here).  It checks the closed forms of the build: the raw vectors
+with both words of length L are an orthonormal basis of the quotient, and
+those with words of fixed shorter lengths are orthonormal bases of the
+domains the residual checks use (the reference finds those by SVD).
+``moment_check`` and ``check_relations`` are compared with their direct
+formulas on the same representation.
 """
 
 import numpy as np
@@ -17,6 +22,8 @@ from fcslab.chain import local_expectation, matrix_unit
 from fcslab.linalg import dag
 from fcslab.systems import word_operators, words
 
+GRAM_KERNEL_TOL = 1e-9
+
 
 def _prefix_excess(shorter, longer):
     """Excess suffix if shorter is a prefix of longer, else None."""
@@ -26,7 +33,7 @@ def _prefix_excess(shorter, longer):
 
 
 def reference_build(md, dual, level):
-    """Gram, min eigenvalue and shift compressions, entry by entry."""
+    """Gram, its eigenvalues and shift compressions, entry by entry."""
     d = md.pi_ops.shape[0]
     m = md.gns_dim
     word_list = words(d, level)
@@ -70,7 +77,7 @@ def reference_build(md, dual, level):
 
     evals, evecs = np.linalg.eigh((gram + dag(gram)) / 2)
     top = max(float(evals[-1]), 1.0)
-    keep = evals > twosided.GRAM_KERNEL_TOL * top
+    keep = evals > GRAM_KERNEL_TOL * top
     w_raw = evecs[:, keep] / np.sqrt(evals[keep])
     quotient_map = dag(w_raw) @ gram
 
@@ -87,7 +94,16 @@ def reference_build(md, dual, level):
                            for lw, rw, alpha in raw_index], axis=1)
         right_ops.append(cols_r @ w_raw)
         left_ops.append(cols_l @ w_raw)
-    return gram, float(evals[0]), np.array(right_ops), np.array(left_ops)
+    return gram, evals, np.array(right_ops), np.array(left_ops)
+
+
+def reference_domain(rep, max_left, max_right):
+    """ON basis of the raw vectors with words up to these lengths, by SVD."""
+    d, q = rep.d, rep.quotient_dim
+    keep = [i for i, (lw, rw, _) in enumerate(rep.raw_index)
+            if len(lw) <= max_left and len(rw) <= max_right]
+    u, s, _ = np.linalg.svd(rep.quotient_map[:, keep], full_matrices=False)
+    return u[:, s > 1e-10 * max(1.0, s[0])]
 
 
 def reference_relations(rep):
@@ -170,11 +186,41 @@ def _sorted_singular_values(ops):
     return np.sort(np.linalg.svd(ops, compute_uv=False), axis=-1)
 
 
+def _top_rows(rep):
+    """Positions of the raw vectors whose two words have length L."""
+    return [i for i, (lw, rw, _) in enumerate(rep.raw_index)
+            if len(lw) == len(rw) == rep.level]
+
+
 def test_gram_matches_scalar_assembly(case):
-    _, rep, (gram, min_eig, _, _) = case
-    assert rep.gram.shape == gram.shape == (len(rep.raw_index),) * 2
-    assert np.max(np.abs(rep.gram - gram)) <= 1e-13
-    assert abs(rep.gram_min_eigenvalue - min_eig) <= 1e-12
+    _, rep, (gram, evals, _, _) = case
+    assert gram.shape == (len(rep.raw_index),) * 2
+    assert np.max(np.abs(rep.quotient_map - gram[_top_rows(rep)])) <= 1e-13
+    assert rep.gram_min_eigenvalue <= evals[0] + 1e-12
+
+
+def test_quotient_basis_closed_form(case):
+    p, rep, (gram, evals, _, _) = case
+    top = _top_rows(rep)
+    q = rep.d ** (2 * rep.level) * p.md.gns_dim
+    assert rep.quotient_dim == len(top) == q
+    assert np.array_equal(gram[np.ix_(top, top)], np.eye(q))
+    assert np.sum(evals > GRAM_KERNEL_TOL * max(1.0, evals[-1])) == q
+    factor = gram[top]
+    assert np.linalg.norm(gram - dag(factor) @ factor) <= 1e-12
+
+
+def test_domains_match_svd(case):
+    _, rep, _ = case
+    level = rep.level
+    for left, right in ((level - 1, level - 1), (level - 1, level - 2)):
+        got = twosided._domain(rep.quotient_map, rep.d, level, left, right)
+        want = reference_domain(rep, left, right)
+        assert got.shape == want.shape
+        assert np.max(np.abs(dag(got) @ got - np.eye(got.shape[1]))) <= 1e-12
+        assert np.max(np.abs(got @ dag(got) - want @ dag(want))) <= 1e-12
+    assert np.array_equal(rep.interior, twosided._domain(
+        rep.quotient_map, rep.d, level, level - 1, level - 1))
 
 
 def test_shift_compressions_match(case):
