@@ -23,31 +23,39 @@ def matrix_unit(d: int, i: int, j: int) -> np.ndarray:
 
 
 def apply_e_map(sys: KrausSystem, a, b) -> np.ndarray:
-    """E_a(b) = sum_ij a_ij v_i b v_j* evaluated directly."""
-    a = as_complex(a)
-    b = as_complex(b)
-    return np.einsum("ij,ipq,qr,jsr->ps", a, sys.ops, b, np.conj(sys.ops))
+    """E_a(b) = sum_ij a_ij v_i b v_j*, broadcast over the leading axes of
+    a (..., d, d) and b (..., n, n).
+
+    Evaluated as sum_i v_i b w_i* with w_i = sum_j conj(a_ij) v_j, at
+    O(d n^3) per operator; E_1 is the transfer channel tau.
+    """
+    w = np.tensordot(np.conj(a), sys.ops, axes=(-1, 0))  # (..., d, n, n)
+    vb = sys.ops @ as_complex(b)[..., None, :, :]
+    return (vb @ np.conj(np.swapaxes(w, -1, -2))).sum(axis=-3)
 
 
-def local_expectation(sys: KrausSystem, state: InvariantState,
-                      site_ops) -> complex:
-    """omega(A_1 x ... x A_m) for operators on consecutive sites."""
+def local_expectation(sys: KrausSystem, state: InvariantState, site_ops):
+    """omega(A_1 x ... x A_m) for operators on consecutive sites.
+
+    Each A_k may be a stack (..., d, d); the stacks broadcast against each
+    other and the result is an array over their leading axes, a complex
+    scalar when no A_k is stacked.
+    """
     x = np.eye(sys.n, dtype=np.complex128)
     for a in reversed(list(site_ops)):
         x = apply_e_map(sys, a, x)
-    return complex(np.trace(state.rho @ x))
+    val = np.einsum("pq,...qp->...", state.rho, x)
+    return complex(val) if val.ndim == 0 else val
 
 
-def two_point(sys: KrausSystem, state: InvariantState, a, b,
-              gap: int) -> complex:
-    """omega(A x 1^{gap} x B) with gap >= 0 intermediate sites."""
+def two_point(sys: KrausSystem, state: InvariantState, a, b, gap: int):
+    """omega(A x 1^{gap} x B) with gap >= 0 intermediate sites.
+
+    A and B may be stacks that broadcast, as in ``local_expectation``.
+    """
     if gap < 0:
         raise ValueError("gap must be nonnegative")
-    x = apply_e_map(sys, b, np.eye(sys.n, dtype=np.complex128))
-    for _ in range(gap):
-        x = sys.transfer(x)
-    x = apply_e_map(sys, a, x)
-    return complex(np.trace(state.rho @ x))
+    return local_expectation(sys, state, [a, *[np.eye(sys.d)] * gap, b])
 
 
 @dataclass(frozen=True)
@@ -58,18 +66,17 @@ class ClusterReport:
 
 def cluster_decay(sys: KrausSystem, state: InvariantState,
                   max_gap: int) -> ClusterReport:
-    """Worst-case cluster quantity over matrix-unit pairs at each gap."""
-    units = [matrix_unit(sys.d, i, j)
-             for i in range(sys.d) for j in range(sys.d)]
-    singles = np.array([local_expectation(sys, state, [u]) for u in units])
-    values = np.zeros(max_gap + 1)
-    for g in range(max_gap + 1):
-        worst = 0.0
-        for ia, ua in enumerate(units):
-            for ib, ub in enumerate(units):
-                c = two_point(sys, state, ua, ub, g) - singles[ia] * singles[ib]
-                worst = max(worst, abs(c))
-        values[g] = worst
+    """Worst-case cluster quantity over matrix-unit pairs at each gap.
+
+    c_g = max |omega(e_a x 1^g x e_b) - omega(e_a) omega(e_b)| over all
+    pairs of single-site matrix units, each gap one stacked ``two_point``.
+    """
+    units = np.eye(sys.d * sys.d).reshape(-1, sys.d, sys.d)  # e_ij at i*d + j
+    singles = local_expectation(sys, state, [units])
+    product = np.outer(singles, singles)
+    values = np.array([
+        np.max(np.abs(two_point(sys, state, units[:, None], units, g) - product))
+        for g in range(max_gap + 1)])
     spec = np.abs(np.linalg.eigvals(sys.transfer_super()))
     spec.sort()
     lam2 = float(spec[-2]) if spec.size > 1 else 0.0

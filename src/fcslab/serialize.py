@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .purity import PurityReport
-from .systems import KrausSystem, ValidationError, validate
+from .systems import InvariantState, KrausSystem, ValidationError, validate
 
 FORMAT_VERSION = 1
 
@@ -55,7 +55,7 @@ def system_to_dict(sys: KrausSystem, rho=None, metadata=None, tol: float = 1e-9)
 
 
 def system_from_dict(doc) -> tuple:
-    """Parse and validate; returns (system, rho or None, metadata)."""
+    """Parse and validate, rho included; returns (system, rho or None, metadata)."""
     if not isinstance(doc, dict):
         raise ParseError("system file must be a JSON object")
     try:
@@ -86,6 +86,9 @@ def system_from_dict(doc) -> tuple:
     rho = None
     if "rho" in doc:
         rho = _decode_matrix(doc["rho"], "rho")
+        if rho.shape != (n, n):
+            raise ParseError(f"rho has shape {rho.shape}, expected ({n}, {n})")
+        InvariantState(rho).check(sys, tol=tol)
     return sys, rho, doc.get("metadata", {})
 
 

@@ -64,11 +64,6 @@ class KrausSystem:
         total = sum(a @ dag(a) for a in self.ops)
         return float(np.linalg.norm(total - np.eye(self.n), ord=2))
 
-    def transfer(self, x: np.ndarray) -> np.ndarray:
-        """tau(x) = sum_k v_k x v_k*."""
-        x = as_complex(x)
-        return np.einsum("kij,jl,kml->im", self.ops, x, np.conj(self.ops))
-
     def transfer_super(self) -> np.ndarray:
         return algebras.channel_super(self.ops)
 

@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import local_expectation, matrix_unit
 from .linalg import dag
 from .modular import DualSystem, ModularData
-from .systems import InvariantState, KrausSystem, word_operators, words
+from .systems import (InvariantState, KrausSystem, moment_table,
+                      word_operators, words)
 
 FACTOR_RESIDUAL_HARD = 1e-6
 
@@ -221,48 +221,36 @@ class RelationReport:
         return max(self.interior.values())
 
 
+def _op_norm(x: np.ndarray) -> float:
+    return float(np.linalg.norm(x, ord=2))
+
+
 def check_relations(rep: TwoSidedRep) -> RelationReport:
     """Isometry, completeness, and commutation residuals.
 
     Interior residuals are exact statements of the inductive-limit relations
     and must be small; boundary residuals quantify the truncation and are
-    reported separately.
+    reported separately.  Each relation operator is formed once and both of
+    its norms are taken before the next one is formed.
     """
     eye = np.eye(rep.quotient_dim)
-    s = rep.right_ops
-    st = rep.left_ops
-    d = rep.d
+    s, st = rep.right_ops, rep.left_ops
+    interior, boundary = {}, {}
 
-    def residuals(domain):
-        def norm(x):
-            # operator norm of x restricted to the domain (None: everywhere)
-            return float(np.linalg.norm(x if domain is None else x @ domain, ord=2))
+    def record(key, x):
+        # operator norm of x on the interior domain and everywhere
+        interior[key] = max(interior.get(key, 0.0), _op_norm(x @ rep.interior))
+        boundary[key] = max(boundary.get(key, 0.0), _op_norm(x))
 
-        out = {}
-        out["right_isometry"] = max(
-            norm(dag(s[i]) @ s[j] - (eye if i == j else 0))
-            for i in range(d) for j in range(d)
-        )
-        out["left_isometry"] = max(
-            norm(dag(st[i]) @ st[j] - (eye if i == j else 0))
-            for i in range(d) for j in range(d)
-        )
-        out["right_completeness"] = norm(
-            sum(s[k] @ dag(s[k]) for k in range(d)) - eye)
-        out["left_completeness"] = norm(
-            sum(st[k] @ dag(st[k]) for k in range(d)) - eye)
-        out["commutation"] = max(
-            norm(s[i] @ st[j] - st[j] @ s[i])
-            for i in range(d) for j in range(d)
-        )
-        out["star_commutation"] = max(
-            norm(s[i] @ dag(st[j]) - dag(st[j]) @ s[i])
-            for i in range(d) for j in range(d)
-        )
-        return out
-
-    interior = residuals(rep.interior)
-    boundary = residuals(None)
+    for i in range(rep.d):
+        for j in range(rep.d):
+            delta = eye if i == j else 0
+            record("right_isometry", dag(s[i]) @ s[j] - delta)
+            record("left_isometry", dag(st[i]) @ st[j] - delta)
+            record("commutation", s[i] @ st[j] - st[j] @ s[i])
+            record("star_commutation", s[i] @ dag(st[j]) - dag(st[j]) @ s[i])
+    record("right_completeness", sum(a @ dag(a) for a in s) - eye)
+    record("left_completeness", sum(a @ dag(a) for a in st) - eye)
     return RelationReport(interior=interior, boundary=boundary)
 
 
@@ -272,45 +260,50 @@ def compression_residual(rep: TwoSidedRep) -> float:
     worst = 0.0
     for ops in (rep.right_ops, rep.left_ops):
         for a in ops:
-            worst = max(worst, float(np.linalg.norm(
-                dag(a) @ p - p @ dag(a) @ p, ord=2)))
+            worst = max(worst, _op_norm(dag(a) @ p - p @ dag(a) @ p))
     return worst
+
+
+def _shifted_vectors(ops, word_list, omega) -> np.ndarray:
+    """vecs[x, y] = T_x T_y* omega for T the word products of ops."""
+    tab = word_operators(ops, len(word_list[-1]))
+    adj = np.conj([np.conj(omega) @ tab[w] for w in word_list])  # T_y* omega
+    return np.swapaxes([tab[w] @ adj.T for w in word_list], 1, 2)
 
 
 def moment_check(rep: TwoSidedRep, sys: KrausSystem, state: InvariantState,
                  window: int) -> float:
     """Two-sided vector-state moments against the chain state.
 
-    Compares <Omega, St_L St_Lb* S_R S_Rb* Omega> with the chain state on
+    Compares <Omega, St_la St_lb* S_ra S_rb* Omega> with the chain state on
     the matching block of matrix units (left words enter reversed, sites
-    running left of the seam).  Returns the max deviation.
+    running left of the seam) for all pairs of equal-length words up to
+    ``window`` on each side: one Gram matrix of the vector families
+    St_lb St_la* Omega and S_ra S_rb* Omega against phi(v_I v_J*),
+    I = la reversed + ra and J = lb reversed + rb, gathered from one moment
+    table up to length 2 window.  Returns the max deviation.
     """
     if window > rep.level - 1:
         raise ValueError("window must stay below the truncation level")
     d = rep.d
-    rtab = word_operators(rep.right_ops, window)
-    ltab = word_operators(rep.left_ops, window)
-    omega = rep.omega
+    ws = words(d, window)
+    lens = np.array([len(w) for w in ws])
+    # words are ordered by length, then as base-d numerals, so x + y sits at
+    # first[|x| + |y|] + value(x) d^|y| + value(y)
+    first = np.cumsum([0] + [d**k for k in range(2 * window + 1)])
+    value = np.arange(len(ws)) - first[lens]
 
-    pairs = [(a, b) for a in words(d, window) for b in words(d, window)
-             if len(a) == len(b)]
-    # <Omega, St_a St_b* R> = <St_a* Omega, St_b* R> with R = S_R S_Rb* Omega
-    left_bra = {w: dag(op) @ omega for w, op in ltab.items()}
-    left_adj = {w: dag(op) for w, op in ltab.items()}
-    worst = 0.0
-    for ra, rb in pairs:
-        r_vec = rtab[ra] @ (dag(rtab[rb]) @ omega)
-        for la, lb in pairs:
-            got = np.vdot(left_bra[la], left_adj[lb] @ r_vec)
-            top = la[::-1] + ra
-            bot = lb[::-1] + rb
-            if top:
-                units = [matrix_unit(d, i, j) for i, j in zip(top, bot)]
-                want = local_expectation(sys, state, units)
-            else:
-                want = 1.0
-            worst = max(worst, abs(got - want))
-    return float(worst)
+    def joined(x):
+        return (first[lens[x][:, None] + lens[x]]
+                + value[x][:, None] * d ** lens[x] + value[x])
+
+    a, b = np.nonzero(lens[:, None] == lens)  # pairs of equal-length words
+    # left pair (x, y) stands for la = x reversed and lb = y reversed
+    left = _shifted_vectors(rep.left_ops, [w[::-1] for w in ws], rep.omega)
+    right = _shifted_vectors(rep.right_ops, ws, rep.omega)
+    got = np.conj(left[b, a]) @ right[a, b].T
+    _, moments = moment_table(sys, state, 2 * window)
+    return float(np.max(np.abs(got - moments[joined(a), joined(b)])))
 
 
 @dataclass(frozen=True)
@@ -330,7 +323,7 @@ def shift_check(rep: TwoSidedRep) -> ShiftReport:
     v = rep.shift
     q = rep.quotient_dim
     interior = rep.interior
-    iso = float(np.linalg.norm((dag(v) @ v - np.eye(q)) @ interior, ord=2))
+    iso = _op_norm((dag(v) @ v - np.eye(q)) @ interior)
     omega_res = float(np.linalg.norm(v @ rep.omega - rep.omega))
 
     dom = _domain(rep.quotient_map, rep.d, rep.level, rep.level - 1,
@@ -340,7 +333,6 @@ def shift_check(rep: TwoSidedRep) -> ShiftReport:
         for j in range(rep.d):
             x_left = rep.left_ops[i] @ dag(rep.left_ops[j])
             x_right = rep.right_ops[i] @ dag(rep.right_ops[j])
-            worst = max(worst, float(np.linalg.norm(
-                (v @ x_left - x_right @ v) @ dom, ord=2)))
+            worst = max(worst, _op_norm((v @ x_left - x_right @ v) @ dom))
     return ShiftReport(isometry_residual=iso, omega_residual=omega_res,
                        covariance_residual=worst)

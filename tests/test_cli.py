@@ -73,6 +73,21 @@ def test_validation_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("rho, code", [
+    (np.eye(2) / 2, cli.EXIT_OK),
+    (np.eye(3) / 3, cli.EXIT_PARSE),
+    (np.diag([1.0, 0.0]), cli.EXIT_VALIDATION),
+], ids=["invariant", "wrong-shape", "not-invariant"])
+def test_rho_in_system_file_is_checked(rho, code, tmp_path, capsys):
+    path = tmp_path / "system.json"
+    path.write_text(serialize.dumps_system(fixtures.aklt(), rho=rho))
+    assert run(["analyze", str(path), "--no-amalgam",
+                "-o", str(tmp_path / "r.json")]) == code
+    err = capsys.readouterr().err
+    if code != cli.EXIT_OK:
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
 def test_fixture_subcommand(capsys):
     assert run(["fixture", "aklt"]) == cli.EXIT_OK
     text = capsys.readouterr().out
