@@ -81,27 +81,19 @@ def channel_super(kraus) -> np.ndarray:
     return sum(sandwich_super(a, dag(a)) for a in kraus)
 
 
-def predual_super(kraus) -> np.ndarray:
-    """Superoperator matrix of the predual ``rho -> sum_k a_k* rho a_k``."""
-    kraus = [as_complex(a) for a in kraus]
-    return sum(sandwich_super(dag(a), a) for a in kraus)
+def channel_fixed_points(kraus, tol: float = KERNEL_TOL) -> OperatorSubspace:
+    """Fixed-point space of a unital Kraus channel.
 
-
-def channel_fixed_points(kraus, adjoint: bool = False,
-                         tol: float = KERNEL_TOL) -> OperatorSubspace:
-    """Fixed-point space of a unital Kraus channel (or its adjoint).
-
-    The Kraus family must satisfy ``sum a a* = 1`` (or ``sum a* a = 1`` in
-    the adjoint case).  The returned subspace is verified to be *-closed.
+    The Kraus family must satisfy ``sum a a* = 1``.  The returned subspace
+    is verified to be *-closed.
     """
     kraus = [as_complex(a) for a in kraus]
     n = kraus[0].shape[0]
-    unit = sum(dag(a) @ a for a in kraus) if adjoint else sum(a @ dag(a) for a in kraus)
+    unit = sum(a @ dag(a) for a in kraus)
     defect = float(np.linalg.norm(unit - np.eye(n)))
     if defect > 1e-8 * max(1.0, float(np.linalg.norm(unit))):
         raise ValueError(f"Kraus family is not unital: defect {defect:.3e}")
-    super_mat = predual_super(kraus) if adjoint else channel_super(kraus)
-    fixed = solve_linear_space([super_mat - np.eye(n * n)], n, tol=tol)
+    fixed = solve_linear_space([channel_super(kraus) - np.eye(n * n)], n, tol=tol)
     if not fixed.is_star_closed():
         raise RuntimeError("fixed-point space failed the *-closure check")
     return fixed

@@ -61,7 +61,6 @@ def two_point(sys: KrausSystem, state: InvariantState, a, b, gap: int):
 @dataclass(frozen=True)
 class ClusterReport:
     values: np.ndarray  # c_g for g = 0 .. max_gap
-    second_eigenvalue_modulus: float
 
 
 def cluster_decay(sys: KrausSystem, state: InvariantState,
@@ -70,6 +69,8 @@ def cluster_decay(sys: KrausSystem, state: InvariantState,
 
     c_g = max |omega(e_a x 1^g x e_b) - omega(e_a) omega(e_b)| over all
     pairs of single-site matrix units, each gap one stacked ``two_point``.
+    The decay rate, the second-largest transfer eigenvalue modulus, is
+    ``1 - purity.kolmogorov_proxy(sys).gap``.
     """
     units = np.eye(sys.d * sys.d).reshape(-1, sys.d, sys.d)  # e_ij at i*d + j
     singles = local_expectation(sys, state, [units])
@@ -77,10 +78,7 @@ def cluster_decay(sys: KrausSystem, state: InvariantState,
     values = np.array([
         np.max(np.abs(two_point(sys, state, units[:, None], units, g) - product))
         for g in range(max_gap + 1)])
-    spec = np.abs(np.linalg.eigvals(sys.transfer_super()))
-    spec.sort()
-    lam2 = float(spec[-2]) if spec.size > 1 else 0.0
-    return ClusterReport(values=values, second_eigenvalue_modulus=lam2)
+    return ClusterReport(values=values)
 
 
 @dataclass(frozen=True)

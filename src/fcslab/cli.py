@@ -95,7 +95,7 @@ def cmd_analyze(args) -> int:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_VALIDATION
     except (purity.InternalConsistencyError, modular.ModularError,
-            twosided.TruncationError, linalg.NotPositiveError,
+            systems.TruncationError, linalg.NotPositiveError,
             linalg.NonHermitianError) as exc:
         print(f"internal consistency failure: {exc}", file=_sys.stderr)
         return EXIT_INTERNAL
@@ -188,11 +188,14 @@ def cmd_moments(args) -> int:
         return EXIT_VALIDATION
     try:
         search = systems.invariant_states(sys_, tol=args.tol)
+        ws, vals = systems.moment_table(sys_, search.mean_state, args.max_len,
+                                        reverse=args.reverse_words)
     except systems.ValidationError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_VALIDATION
-    ws, vals = systems.moment_table(sys_, search.mean_state, args.max_len,
-                                    reverse=args.reverse_words)
+    except systems.TruncationError as exc:
+        print(f"internal consistency failure: {exc}", file=_sys.stderr)
+        return EXIT_INTERNAL
     order = "reversed" if args.reverse_words else "forward"
     print(f"# word moments, {order} products, lengths <= {args.max_len}")
     for a, wa in enumerate(ws):

@@ -33,7 +33,8 @@ def as_complex(a) -> np.ndarray:
 
 
 def dag(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Adjoint of a matrix, or of each matrix in a stack (..., n, n)."""
+    return np.conj(np.swapaxes(a, -1, -2))
 
 
 def herm_eig(h, tol: float = DEFAULT_TOL):

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import algebras, chain, modular, systems
 from .linalg import (
+    dag,
     solve_linear_space,
     subspace_contains,
     subspace_equal,
@@ -91,9 +92,9 @@ def ergodicity(can: systems.CanonicalSystem,
     Cross-checked against triviality of the center; disagreement between the
     two equivalent tests raises an internal-consistency error.
     """
-    basis = can.algebra.rows
-    super_mat = algebras.channel_super(can.pi_ops)
-    restricted = np.conj(basis) @ super_mat @ basis.T
+    alg = can.algebra
+    image = sum(a @ alg.basis @ dag(a) for a in can.pi_ops)  # tau on the basis
+    restricted = np.conj(alg.rows) @ image.reshape(alg.dim, -1).T
     w = np.linalg.eigvals(restricted)
     fixed_dim = int(np.sum(np.abs(w - 1.0) <= tol))
     simple = fixed_dim == 1

@@ -30,6 +30,7 @@ from .linalg import (
     as_complex,
     dag,
     herm_eig,
+    sandwich_super,
     solve_linear_space,
     vec,
     unvec,
@@ -38,6 +39,22 @@ from .linalg import (
 
 class ValidationError(ValueError):
     """System data violates a structural invariant."""
+
+
+class TruncationError(RuntimeError):
+    """A truncated construction was refused or failed a structural check."""
+
+
+BYTES_BUDGET = 2**30  # memory of the moment table and of the two-sided build
+
+
+def check_budget(need: int, subject: str, arrays: str) -> None:
+    """Refuse, by TruncationError and before allocating, a construction that
+    needs more than BYTES_BUDGET bytes; ``need`` may exceed any float."""
+    if need > BYTES_BUDGET:
+        raise TruncationError(
+            f"{subject} needs about {(need + 2**19) // 2**20} MiB for {arrays}, "
+            f"over the budget of {BYTES_BUDGET // 2**20} MiB")
 
 
 @dataclass(frozen=True)
@@ -68,7 +85,8 @@ class KrausSystem:
         return algebras.channel_super(self.ops)
 
     def predual_super(self) -> np.ndarray:
-        return algebras.predual_super(self.ops)
+        """Superoperator matrix of the predual ``rho -> sum_k v_k* rho v_k``."""
+        return sum(sandwich_super(dag(a), a) for a in self.ops)
 
 
 @dataclass(frozen=True)
@@ -244,14 +262,27 @@ class CanonicalSystem:
     def gns_dim(self) -> int:
         return self.pi_ops.shape[1]
 
-    def represent(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of left multiplication by x on the GNS space."""
-        return _pi_matrix(self.state.rho, self.basis_mats, as_complex(x))
+    def coordinates(self, y) -> np.ndarray:
+        """GNS coordinates <c_i, y>_phi of a matrix or a stack (..., n, n)."""
+        return _coordinates(self.state.rho, self.basis_mats, y)
+
+    def represent(self, x) -> np.ndarray:
+        """Left multiplication by x (..., n, n) on the GNS space, as matrices."""
+        return _represent(self.state.rho, self.basis_mats, x)
 
 
-def _pi_matrix(rho, c, x):
-    """pi(x)[i, j] = Tr(rho c_i* x c_j) for a GNS-orthonormal basis c."""
-    return np.einsum("pq,irq,rs,jsp->ij", rho, np.conj(c), x, c)
+def _coordinates(rho, c, y):
+    """<c_i, y>_phi = Tr(rho c_i* y) = vdot(c_i rho, y) against the basis c,
+    as one product with conj(c rho); y is a matrix or a stack (..., n, n)."""
+    n = rho.shape[0]
+    bras = np.conj(c @ rho).reshape(len(c), n * n)
+    return as_complex(y).reshape(*np.shape(y)[:-2], n * n) @ bras.T
+
+
+def _represent(rho, c, x):
+    """pi(x)[..., i, j] = <c_i, x c_j>_phi: the coordinates of the stack x c."""
+    x = as_complex(x)[..., None, :, :]
+    return np.swapaxes(_coordinates(rho, c, x @ c), -1, -2)
 
 
 def canonicalize(sys: KrausSystem, state: InvariantState,
@@ -264,11 +295,8 @@ def canonicalize(sys: KrausSystem, state: InvariantState,
     """
     n = sys.n
     rho = state.rho
-    alg = algebras.generated_algebra(list(sys.ops), n)
-    b = alg.basis  # (m, n, n), HS-orthonormal
-    m = b.shape[0]
-    gram = np.einsum("pq,arq,brp->ab", rho, np.conj(b), b)
-    gram = (gram + dag(gram)) / 2
+    b = algebras.generated_algebra(list(sys.ops), n).basis  # HS-orthonormal
+    gram = _coordinates(rho, b, b).T  # gram[a, b] = <b_a, b_b>_phi
     w, u = herm_eig(gram, tol=1e-8)
     if w[0] <= tol * max(1.0, float(w[-1])):
         raise ValidationError(
@@ -277,18 +305,10 @@ def canonicalize(sys: KrausSystem, state: InvariantState,
         )
     weights = u @ np.diag(w**-0.5)  # columns: new basis coefficients
     c = np.einsum("ab,aij->bij", weights, b)  # (m, n, n) GNS-orthonormal
-    can_basis = c
-
-    def phi(x):
-        return np.trace(rho @ x)
-
-    pi_ops = np.stack([_pi_matrix(rho, c, a) for a in sys.ops])
-    omega = np.array([phi(dag(ci)) for ci in c])
-    pi_basis = [_pi_matrix(rho, c, x) for x in c]
-    algebra = OperatorSubspace.from_matrices(pi_basis, ambient_dim=m)
+    algebra = OperatorSubspace.from_matrices(_represent(rho, c, c), len(c))
     return CanonicalSystem(
-        base=sys, state=state, pi_ops=pi_ops, omega=omega,
-        algebra=algebra, basis_mats=can_basis,
+        base=sys, state=state, pi_ops=_represent(rho, c, sys.ops),
+        omega=_coordinates(rho, c, np.eye(n)), algebra=algebra, basis_mats=c,
     )
 
 
@@ -301,6 +321,11 @@ def words(d: int, max_len: int, min_len: int = 0):
     for length in range(min_len, max_len + 1):
         out.extend(_iproduct(range(d), repeat=length))
     return out
+
+
+def word_count(d: int, max_len: int) -> int:
+    """Number of words over d letters of length <= max_len."""
+    return (d ** (max_len + 1) - 1) // (d - 1) if d > 1 else max_len + 1
 
 
 def word_operator(ops, word) -> np.ndarray:
@@ -336,7 +361,11 @@ def moment_table(sys: KrausSystem, state: InvariantState, max_len: int,
 
     With ``reverse=True`` the words are read in the reversed order
     (``v_I = v_{i_m} ... v_{i_1}``), exposed for convention validation.
+    A table whose W x W moment matrix exceeds BYTES_BUDGET is refused.
     """
+    w = word_count(sys.d, max_len)
+    check_budget(16 * w * w, f"a moment table of word length <= {max_len}",
+                 f"the {w} x {w} moment matrix")
     ws = words(sys.d, max_len)
     table = word_operators(sys.ops, max_len)
     stack = np.stack([table[w[::-1]] if reverse else table[w] for w in ws])

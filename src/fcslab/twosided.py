@@ -27,18 +27,11 @@ import numpy as np
 
 from .linalg import dag
 from .modular import DualSystem, ModularData
-from .systems import (InvariantState, KrausSystem, moment_table,
-                      word_operators, words)
+from .systems import (InvariantState, KrausSystem, TruncationError,
+                      check_budget, moment_table, word_count, word_operators,
+                      words)
 
 FACTOR_RESIDUAL_HARD = 1e-6
-
-# Memory guard of `build`, checked before anything is allocated: the (q, N)
-# quotient map and the 2d (q, q) shift compressions, 16 bytes per entry.
-BUILD_BYTES_BUDGET = 2**30
-
-
-class TruncationError(RuntimeError):
-    """Construction failed a structural check."""
 
 
 @dataclass(frozen=True)
@@ -61,11 +54,6 @@ class TwoSidedRep:
     @property
     def d(self) -> int:
         return self.right_ops.shape[0]
-
-
-def _word_count(d: int, max_len: int) -> int:
-    """Number of words over d letters of length <= max_len."""
-    return sum(d**k for k in range(max_len + 1))
 
 
 def _pair_table(bra_words, ket_words, tab):
@@ -134,15 +122,12 @@ def build(md: ModularData, dual: DualSystem, level: int) -> TwoSidedRep:
         raise ValueError("level must be >= 2")
     d = md.pi_ops.shape[0]
     m = md.gns_dim
-    raw_dim = _word_count(d, level) ** 2 * m
+    raw_dim = word_count(d, level) ** 2 * m
     q = d ** (2 * level) * m
-    need = 16 * (q * raw_dim + 2 * d * q * q)
-    if need > BUILD_BYTES_BUDGET:
-        raise TruncationError(
-            f"level {level} needs about {need / 2**20:.0f} MiB for the "
-            f"{q} x {raw_dim} quotient map and {2 * d} shift compressions, "
-            f"over the budget of {BUILD_BYTES_BUDGET / 2**20:.0f} MiB"
-        )
+    # the (q, N) quotient map and the 2d (q, q) shift compressions
+    check_budget(16 * (q * raw_dim + 2 * d * q * q), f"level {level}",
+                 f"the {q} x {raw_dim} quotient map and {2 * d} shift "
+                 "compressions")
 
     word_list = words(d, level)
     top = words(d, level, level)
@@ -205,10 +190,10 @@ def _domain(qmap: np.ndarray, d: int, level: int, left_len: int,
     and span those with shorter words, as the top vectors do; their columns
     of qmap, ordered (left word, right word, alpha), are the basis.
     """
-    q, nw = qmap.shape[0], _word_count(d, level)
+    q, nw = qmap.shape[0], word_count(d, level)
     cols = qmap.reshape(q, nw, nw, -1)
-    left = slice(_word_count(d, left_len - 1), _word_count(d, left_len))
-    right = slice(_word_count(d, right_len - 1), _word_count(d, right_len))
+    left = slice(word_count(d, left_len - 1), word_count(d, left_len))
+    right = slice(word_count(d, right_len - 1), word_count(d, right_len))
     return cols[:, left, right].reshape(q, -1)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fcslab import chain, fixtures, systems
+from fcslab import chain, fixtures, purity, systems
 
 
 def mean_state(sys_):
@@ -71,7 +71,7 @@ class TestClusterDecay:
     def test_aklt_ratio_is_one_third(self):
         sys_ = fixtures.aklt()
         rep = chain.cluster_decay(sys_, mean_state(sys_), max_gap=6)
-        assert abs(rep.second_eigenvalue_modulus - 1 / 3) < 1e-12
+        assert abs(1 - purity.kolmogorov_proxy(sys_).gap - 1 / 3) < 1e-12
         ratios = rep.values[3:] / rep.values[2:-1]
         assert np.all(np.abs(ratios - 1 / 3) < 1e-6)
 

@@ -117,6 +117,25 @@ def test_level_below_one_is_a_parse_error(level, capsys):
     assert "level must be >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "fixture:aklt", "--no-amalgam", "--cutoff", "9"],
+    ["moments", "fixture:aklt", "--max-len", "9"],
+], ids=["analyze", "moments"])
+def test_oversized_moment_table_is_refused(argv, capsys):
+    # W = (3^10 - 1) / 2 = 29524 words: a 13 GiB moment matrix
+    assert run(argv) == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err.splitlines() == [
+        "internal consistency failure: a moment table of word length <= 9 "
+        "needs about 13301 MiB for the 29524 x 29524 moment matrix, over the "
+        "budget of 1024 MiB"]
+
+
+def test_moment_table_within_budget_runs(tmp_path):
+    # W = 3280 words: a 164 MiB moment matrix
+    assert run(["analyze", "fixture:aklt", "--no-amalgam", "--cutoff", "7",
+                "-o", str(tmp_path / "r.json")]) == cli.EXIT_OK
+
+
 @pytest.mark.parametrize("command", ["analyze", "moments"])
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_tol_must_be_positive_and_finite(command, tol, capsys):

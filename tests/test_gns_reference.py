@@ -1,0 +1,118 @@
+"""Stacked GNS coordinates against the per-element formulas they replaced.
+
+Every GNS quantity is a set of coordinates <c_i, y>_phi = Tr(rho c_i* y)
+against the orthonormal basis c of the canonical system.  The references
+below evaluate them one basis element at a time: pi(x) by the four-operand
+einsum, Tomita's S one column at a time, Omega by traces, the duals one
+Kraus operator at a time, commutant membership one (dual, basis) pair at a
+time, and the transfer channel restricted to the algebra through its
+m^2 x m^2 superoperator.  They serve only as small-m oracles.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import build_pipeline
+from fcslab import algebras, fixtures, modular, purity
+from fcslab.linalg import OperatorSubspace, dag, subspace_contains
+
+FIXTURES = ("aklt", "bernoulli-uniform", "bernoulli-basis", "nonergodic-z2",
+            "two-block", "period-two")
+TOL = 1e-13
+
+
+def reference_pi(rho, c, x):
+    return np.einsum("pq,irq,rs,jsp->ij", rho, np.conj(c), x, c)
+
+
+def reference_s(rho, c):
+    s = np.empty((len(c), len(c)), dtype=complex)
+    for j in range(len(c)):
+        s[:, j] = np.einsum("pq,irq,rp->i", rho, np.conj(c), dag(c[j]))
+    return s
+
+
+def reference_restricted_transfer(can):
+    rows = can.algebra.rows
+    return np.conj(rows) @ algebras.channel_super(can.pi_ops) @ rows.T
+
+
+def restricted_transfer(can, monkeypatch):
+    """The matrix ``purity.ergodicity`` diagonalizes, and its result."""
+    seen, eigvals = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: seen.append(a) or eigvals(a))
+    result = purity.ergodicity(can)
+    monkeypatch.undo()
+    assert len(seen) == 1
+    return seen[0], result
+
+
+def deviations(p, monkeypatch):
+    """Largest entrywise deviation from the references, per quantity."""
+    can, md = p.can, p.md
+    rho, c = can.state.rho, can.basis_mats
+    m = can.gns_dim
+    ref_basis_images = np.stack([reference_pi(rho, c, x) for x in c])
+    ref_algebra = OperatorSubspace.from_matrices(ref_basis_images, m)
+    ref_duals = np.stack([md.j.sandwich(modular._sigma_i_half(md, dag(a)))
+                          for a in can.pi_ops])
+    ref_membership = max(float(np.linalg.norm(w @ b - b @ w))
+                         for w in ref_duals for b in can.algebra.basis)
+    restricted, erg = restricted_transfer(can, monkeypatch)
+    ref_restricted = reference_restricted_transfer(can)
+    ref_w = np.linalg.eigvals(ref_restricted)
+    assert erg.fixed_dim_in_algebra == int(np.sum(np.abs(ref_w - 1.0) <= 1e-8))
+    gram = np.stack([[np.trace(rho @ dag(a) @ b) for b in c] for a in c])
+    return {
+        "gram": np.max(np.abs(gram - np.eye(m))),
+        "pi_ops": np.max(np.abs(can.pi_ops - np.stack(
+            [reference_pi(rho, c, a) for a in p.comp_sys.ops]))),
+        "omega": np.max(np.abs(can.omega - [np.trace(rho @ dag(x)) for x in c])),
+        "basis_images": np.max(np.abs(can.represent(c) - ref_basis_images)),
+        "algebra": max(subspace_contains(can.algebra, ref_algebra)[1],
+                       subspace_contains(ref_algebra, can.algebra)[1]),
+        "s": np.max(np.abs(md.s.mat - reference_s(rho, c))),
+        "duals": np.max(np.abs(p.dual.ops - ref_duals)),
+        "commutant_membership": abs(
+            p.dual.residuals["commutant_membership"] - ref_membership),
+        "restricted_transfer": np.max(np.abs(restricted - ref_restricted)),
+    }
+
+
+def assert_close(p, monkeypatch, label):
+    dev = deviations(p, monkeypatch)
+    worst = max(dev, key=dev.get)
+    assert dev[worst] <= TOL, (label, worst, dev[worst])
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixtures(name, monkeypatch):
+    assert_close(build_pipeline(fixtures.by_name(name)), monkeypatch, name)
+
+
+def test_random_cases(random_pipelines, monkeypatch):
+    for seed, n, d, p in random_pipelines:
+        assert_close(p, monkeypatch, (seed, n, d))
+
+
+def test_block_sum(monkeypatch):
+    sys_ = fixtures.block_sum(fixtures.random_system(3, 2, 21),
+                              fixtures.random_system(3, 2, 22))
+    p = build_pipeline(sys_)
+    assert p.can.gns_dim == 18
+    assert_close(p, monkeypatch, "3+3 block sum")
+
+
+def test_stacked_calls_match_single_calls(aklt_pipeline):
+    can = aklt_pipeline.can
+    n = can.base.n
+    rng = np.random.default_rng(5)
+    ys = rng.normal(size=(2, 3, n, n)) + 1j * rng.normal(size=(2, 3, n, n))
+    coords, reps = can.coordinates(ys), can.represent(ys)
+    assert coords.shape == (2, 3, can.gns_dim)
+    assert reps.shape == (2, 3, can.gns_dim, can.gns_dim)
+    for idx in np.ndindex(2, 3):
+        assert np.max(np.abs(coords[idx] - can.coordinates(ys[idx]))) <= TOL
+        assert np.max(np.abs(reps[idx] - can.represent(ys[idx]))) <= TOL
+        assert np.max(np.abs(
+            reps[idx] - reference_pi(can.state.rho, can.basis_mats, ys[idx]))) <= TOL
