@@ -1,6 +1,7 @@
 """Dense complex linear-algebra substrate.
 
-Hermitian eigenproblems, spectral powers of positive operators, antilinear
+Hermitian eigenproblems, the spectral norm of a sparse or dense matrix from
+its connected blocks, spectral powers of positive operators, antilinear
 operators represented as (matrix, implicit entrywise conjugation) pairs, and
 orthonormal subspaces of n x n matrices under the Hilbert-Schmidt inner
 product ``<x, y> = Tr(x* y)``.
@@ -58,6 +59,51 @@ def herm_eig(h, tol: float = DEFAULT_TOL):
         )
     w, u = np.linalg.eigh((h + dag(h)) / 2.0)
     return w, u
+
+
+def spectral_norm(x) -> float:
+    """Operator 2-norm of a matrix (ndarray or scipy.sparse), block by block.
+
+    Rows and columns joined by an exact nonzero form the connected components
+    of a bipartite graph.  Permuting rows and columns into block-diagonal form
+    changes no singular value, so the norm is the largest norm of the
+    component blocks; blocks of one shape share one batched SVD.  Round-off
+    nonzeros only merge components.
+    """
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    coo = coo_array(x)
+    nonzero = coo.data != 0
+    rows, cols, vals = coo.row[nonzero], coo.col[nonzero], coo.data[nonzero]
+    if not vals.size:
+        return 0.0
+    r, c = coo.shape
+    graph = coo_array((np.ones(vals.size), (rows, cols + r)), shape=(r + c,) * 2)
+    ncomp, label = connected_components(graph, directed=False)
+
+    def local(labels):
+        # position of each row (column) among those of its component
+        counts = np.bincount(labels, minlength=ncomp)
+        pos = np.empty(labels.size, dtype=np.intp)
+        pos[np.argsort(labels, kind="stable")] = (
+            np.arange(labels.size) - np.repeat(np.cumsum(counts) - counts, counts))
+        return counts, pos
+
+    (nrow, row_pos), (ncol, col_pos) = local(label[:r]), local(label[r:])
+    comp = label[rows]
+    shape = nrow * (c + 1) + ncol  # one key per block shape
+    worst = 0.0
+    for key in np.unique(shape[comp]):
+        members = np.flatnonzero(shape == key)
+        slot = np.zeros(ncomp, dtype=np.intp)
+        slot[members] = np.arange(members.size)
+        take = shape[comp] == key
+        blocks = np.zeros((members.size, key // (c + 1), key % (c + 1)),
+                          dtype=vals.dtype)
+        blocks[slot[comp[take]], row_pos[rows[take]], col_pos[cols[take]]] = vals[take]
+        worst = max(worst, float(np.max(np.linalg.norm(blocks, 2, axis=(1, 2)))))
+    return worst
 
 
 def pos_power(p, z, tol: float = DEFAULT_TOL, support_eps: float = 1e-12):

@@ -17,6 +17,7 @@ chain state; the reversed convention is exposed for comparison through the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product as _iproduct
 
@@ -48,12 +49,26 @@ class TruncationError(RuntimeError):
 BYTES_BUDGET = 2**30  # memory of the moment table and of the two-sided build
 
 
-def check_budget(need: int, subject: str, arrays: str) -> None:
+def _figure(n: int) -> str:
+    """n in decimal, or as 1.23e+45 once it has more than 12 digits; the
+    cost and the length of the text stay bounded for integers of any size."""
+    if n < 10**12:
+        return str(n)
+    shift = max(0, n.bit_length() - 64)
+    exp = math.log10(n >> shift) + shift * math.log10(2)
+    mantissa, more = f"{10 ** (exp - int(exp)):.2e}".split("e")
+    return f"{mantissa}e+{int(exp) + int(more)}"
+
+
+def check_budget(need: int, subject: str, arrays: str, *sizes: int) -> None:
     """Refuse, by TruncationError and before allocating, a construction that
-    needs more than BYTES_BUDGET bytes; ``need`` may exceed any float."""
+    needs more than BYTES_BUDGET bytes.  ``arrays`` names what is held, with
+    one ``{}`` per entry of ``sizes``; ``need`` and the sizes may exceed any
+    float and are printed in bounded form."""
     if need > BYTES_BUDGET:
         raise TruncationError(
-            f"{subject} needs about {(need + 2**19) // 2**20} MiB for {arrays}, "
+            f"{subject} needs about {_figure((need + 2**19) // 2**20)} MiB for "
+            f"{arrays.format(*map(_figure, sizes))}, "
             f"over the budget of {BYTES_BUDGET // 2**20} MiB")
 
 
@@ -365,7 +380,7 @@ def moment_table(sys: KrausSystem, state: InvariantState, max_len: int,
     """
     w = word_count(sys.d, max_len)
     check_budget(16 * w * w, f"a moment table of word length <= {max_len}",
-                 f"the {w} x {w} moment matrix")
+                 "the {} x {} moment matrix", w, w)
     ws = words(sys.d, max_len)
     table = word_operators(sys.ops, max_len)
     stack = np.stack([table[w[::-1]] if reverse else table[w] for w in ws])

@@ -17,15 +17,22 @@ multiplied on the bra or ket side according to where the excess sits.
 Truncation policy: compressed operator matrices are exact on interior
 vectors (word lengths below the level); all residual checks quantify over
 interior vectors only and boundary behavior is reported separately.
+
+The shift compressions have m nonzeros per column and are kept as
+scipy.sparse CSR matrices; every residual norm is taken by
+``linalg.spectral_norm`` over the exact block pattern of its operator.
+scipy.sparse is imported inside the functions that need it, so code that
+never runs the two-sided check does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import dag
+from .linalg import dag, spectral_norm
 from .modular import DualSystem, ModularData
 from .systems import (InvariantState, KrausSystem, TruncationError,
                       check_budget, moment_table, word_count, word_operators,
@@ -40,11 +47,11 @@ class TwoSidedRep:
     raw_index: tuple = field(repr=False)  # ((left, right, alpha), ...)
     gram_min_eigenvalue: float  # -||G - Q^H Q||_F, a lower bound on lambda_min
     quotient_map: np.ndarray = field(repr=False)  # (q, N): raw coords -> quotient
-    right_ops: np.ndarray = field(repr=False)  # (d, q, q), compressions
-    left_ops: np.ndarray = field(repr=False)  # (d, q, q)
-    p_corner: np.ndarray = field(repr=False)  # projection onto the K block
+    right_ops: tuple = field(repr=False)  # d sparse (q, q) compressions (CSR)
+    left_ops: tuple = field(repr=False)  # d sparse (q, q)
+    corner: np.ndarray = field(repr=False)  # (q, m): the raw vectors ((), (), alpha)
     omega: np.ndarray = field(repr=False)
-    shift: np.ndarray = field(repr=False)  # V = sum_k S_k Stilde_k*
+    shift: object = field(repr=False)  # V = sum_k S_k Stilde_k*, CSR
     interior: np.ndarray = field(repr=False)  # ON basis (q, dim) of interior
 
     @property
@@ -53,60 +60,78 @@ class TwoSidedRep:
 
     @property
     def d(self) -> int:
-        return self.right_ops.shape[0]
+        return len(self.right_ops)
 
 
-def _pair_table(bra_words, ket_words, tab):
-    """Prefix-rule operators for every (bra word, ket word) pair.
+class _Pairs(NamedTuple):
+    """Prefix-related (bra word, ket word) pairs and their operators."""
 
-    ops[i, j] is tab[E] when bra word i is a prefix of ket word j with excess
-    E (the excess sits on the ket side, side +1), dag(tab[E]) when ket word j
-    is a proper prefix of bra word i (bra side, side -1), and zero when the
-    words are not prefix-related (side 0).
+    bra: np.ndarray  # (p,) positions in the bra word list
+    ket: np.ndarray  # (p,) positions in the ket word list
+    ops: np.ndarray  # (p, m, m)
+    ket_side: np.ndarray  # (p,) whether the excess word sits on the ket side
+    counts: tuple  # (number of bra words, number of ket words)
+
+
+def _pair_table(bra_words, ket_words, tab) -> _Pairs:
+    """Prefix-rule operators for every prefix-related (bra, ket) word pair.
+
+    The operator is tab[E] when the bra word is a prefix of the ket word with
+    excess E (the excess sits on the ket side) and dag(tab[E]) when the ket
+    word is a proper prefix of the bra word (bra side).  Pairs of words that
+    are not prefix-related contribute nothing and are left out.
     """
-    m = tab[()].shape[0]
-    ops = np.zeros((len(bra_words), len(ket_words), m, m), dtype=np.complex128)
-    side = np.zeros((len(bra_words), len(ket_words)), dtype=np.int8)
+    bra, ket, ops, ket_side = [], [], [], []
     for i, a in enumerate(bra_words):
         for j, b in enumerate(ket_words):
             if b[:len(a)] == a:
-                ops[i, j] = tab[b[len(a):]]
-                side[i, j] = 1
+                ops.append(tab[b[len(a):]])
+                ket_side.append(True)
             elif a[:len(b)] == b:
-                ops[i, j] = dag(tab[a[len(b):]])
-                side[i, j] = -1
-    return ops, side
+                ops.append(dag(tab[a[len(b):]]))
+                ket_side.append(False)
+            else:
+                continue
+            bra.append(i)
+            ket.append(j)
+    return _Pairs(np.array(bra, dtype=np.intp), np.array(ket, dtype=np.intp),
+                  np.array(ops), np.array(ket_side, dtype=bool),
+                  (len(bra_words), len(ket_words)))
 
 
-def _fill_gram(out, left, right, right_side):
-    """Write the Gram of raw bra vectors against raw ket vectors into out.
+def _gram(left: _Pairs, right: _Pairs):
+    """Gram of raw bra vectors against raw ket vectors, as a CSR matrix.
 
-    left is the _pair_table of the left bra words against the left ket words
-    (from the duals) and right, right_side that of the right words (from v).
-    Raw vectors are ordered (left word, right word, alpha), so out viewed as
-    (nbl, nbr, m, nkl, nkr, m) is indexed [i, k, alpha, j, l, beta] with
-    (i, j) the left-word pair and (k, l) the right-word pair.  The entry is
-    (X Y)[alpha, beta] with X = left[i, j], Y = right[k, l] when the right
-    excess sits on the ket side and (Y X)[alpha, beta] when it sits on the
-    bra side.  Blocks of unrelated right words are left untouched (zero).
+    left holds the related pairs of the left words (operators X from the
+    duals), right those of the right words (operators Y from v).  Raw vectors
+    are ordered (left word, right word, alpha); the block of bra words (i, k)
+    against ket words (j, l) is X Y when the right excess sits on the ket side
+    and Y X when it sits on the bra side.  Only the blocks of two related
+    pairs are stored.
     """
-    (nbl, nkl, m, _), (nbr, nkr) = left.shape, right_side.shape
-    blocks = out.reshape(nbl, nbr, m, nkl, nkr, m)
-    for k, l in zip(*np.nonzero(right_side)):
-        y = right[k, l]
-        xy = left @ y if right_side[k, l] > 0 else y @ left  # [i, j, alpha, beta]
-        blocks[:, k, :, :, l, :] = xy.transpose(0, 2, 1, 3)
+    from scipy.sparse import csr_array
+
+    m = left.ops.shape[-1]
+    (nbl, nkl), (nbr, nkr) = left.counts, right.counts
+    x, y = left.ops[:, None], right.ops[None]
+    blocks = np.where(right.ket_side[:, None, None], x @ y, y @ x)
+    alpha = np.arange(m)
+    rows = (left.bra[:, None] * nbr + right.bra)[..., None, None] * m + alpha[:, None]
+    cols = (left.ket[:, None] * nkr + right.ket)[..., None, None] * m + alpha
+    rows, cols = np.broadcast_arrays(rows, cols)
+    out = csr_array((blocks.ravel(), (rows.ravel(), cols.ravel())),
+                    shape=(nbl * nbr * m, nkl * nkr * m))
+    out.eliminate_zeros()
+    return out
 
 
 def _factor_residual(qmap, word_list, wtab, vtab) -> float:
     """||G - Q^H Q||_F for the raw Gram G, one left bra word's rows at a time."""
-    left, _ = _pair_table(word_list, word_list, wtab)
     right = _pair_table(word_list, word_list, vtab)
     rows = qmap.shape[1] // len(word_list)
     total = 0.0
-    for i in range(len(word_list)):
-        block = np.zeros((rows, qmap.shape[1]), dtype=np.complex128)
-        _fill_gram(block, left[i:i + 1], *right)
+    for i, word in enumerate(word_list):
+        block = _gram(_pair_table([word], word_list, wtab), right).toarray()
         block -= dag(qmap[:, i * rows:(i + 1) * rows]) @ qmap
         total += float(np.vdot(block, block).real)
     return float(np.sqrt(total))
@@ -117,17 +142,22 @@ def build(md: ModularData, dual: DualSystem, level: int) -> TwoSidedRep:
 
     The top raw vectors (both words of length L) have the identity as Gram
     block and span the shorter ones, as sum_k v_k v_k* = sum_k w_k w_k* = 1.
+    Each shift compression has m nonzeros per column and is kept sparse.
     """
     if level < 2:
         raise ValueError("level must be >= 2")
     d = md.pi_ops.shape[0]
     m = md.gns_dim
-    raw_dim = word_count(d, level) ** 2 * m
+    nw = word_count(d, level)
+    raw_dim = nw ** 2 * m
     q = d ** (2 * level) * m
-    # the (q, N) quotient map and the 2d (q, q) shift compressions
-    check_budget(16 * (q * raw_dim + 2 * d * q * q), f"level {level}",
-                 f"the {q} x {raw_dim} quotient map and {2 * d} shift "
-                 "compressions")
+    # held: the dense (q, N) quotient map and the 3dqm stored entries (16-byte
+    # value, index up to 8 bytes) of the 2d shift compressions and of V;
+    # transient: the two (nw m, N) row blocks of the factorization residual
+    check_budget(16 * raw_dim * (q + 2 * nw * m) + 24 * 3 * d * q * m,
+                 f"level {level}",
+                 "the {} x {} quotient map and {} sparse shift compressions",
+                 q, raw_dim, 2 * d)
 
     word_list = words(d, level)
     top = words(d, level, level)
@@ -138,9 +168,8 @@ def build(md: ModularData, dual: DualSystem, level: int) -> TwoSidedRep:
                       for rw in word_list for alpha in range(m))
 
     # Left excess words contribute the duals w_E, right excess words v_F.
-    quotient_map = np.zeros((q, raw_dim), dtype=np.complex128)
-    _fill_gram(quotient_map, _pair_table(top, word_list, wtab)[0],
-               *_pair_table(top, word_list, vtab))
+    quotient_map = _gram(_pair_table(top, word_list, wtab),
+                         _pair_table(top, word_list, vtab)).toarray()
     # By Weyl's inequality -residual is a lower bound on lambda_min(G).
     residual = _factor_residual(quotient_map, word_list, wtab, vtab)
     if residual > FACTOR_RESIDUAL_HARD:
@@ -152,33 +181,28 @@ def build(md: ModularData, dual: DualSystem, level: int) -> TwoSidedRep:
     # S_k and Stilde_k prepend the letter k to the right and the left word,
     # so their compressions are the top-by-top blocks of the cross-Grams of
     # the raw basis against the shifted raw basis.
-    left_top, _ = _pair_table(top, top, wtab)
+    left_top = _pair_table(top, top, wtab)
     right_top = _pair_table(top, top, vtab)
-    right_ops, left_ops = np.zeros((2, d, q, q), dtype=np.complex128)
+    right_ops, left_ops = [], []
     for k in range(d):
         ext = [(k,) + w for w in top]
-        _fill_gram(right_ops[k], left_top, *_pair_table(top, ext, vtab))
-        _fill_gram(left_ops[k], _pair_table(top, ext, wtab)[0], *right_top)
+        right_ops.append(_gram(left_top, _pair_table(top, ext, vtab)))
+        left_ops.append(_gram(_pair_table(top, ext, wtab), right_top))
 
     corner = quotient_map[:, :m]  # raw vectors ((), (), alpha)
-    p_corner = corner @ dag(corner)
-    omega = corner @ md.omega
-
-    shift = sum(right_ops[k] @ dag(left_ops[k]) for k in range(d))
-
-    interior = _domain(quotient_map, d, level, level - 1, level - 1)
+    shift = sum(a @ b.conj().T for a, b in zip(right_ops, left_ops)).tocsr()
 
     return TwoSidedRep(
         level=level,
         raw_index=raw_index,
         gram_min_eigenvalue=-residual,
         quotient_map=quotient_map,
-        right_ops=right_ops,
-        left_ops=left_ops,
-        p_corner=p_corner,
-        omega=omega,
+        right_ops=tuple(right_ops),
+        left_ops=tuple(left_ops),
+        corner=corner,
+        omega=corner @ md.omega,
         shift=shift,
-        interior=interior,
+        interior=_domain(quotient_map, d, level, level - 1, level - 1),
     )
 
 
@@ -206,8 +230,8 @@ class RelationReport:
         return max(self.interior.values())
 
 
-def _op_norm(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x, ord=2))
+def _adjoints(ops) -> list:
+    return [a.conj().T.tocsr() for a in ops]
 
 
 def check_relations(rep: TwoSidedRep) -> RelationReport:
@@ -215,45 +239,68 @@ def check_relations(rep: TwoSidedRep) -> RelationReport:
 
     Interior residuals are exact statements of the inductive-limit relations
     and must be small; boundary residuals quantify the truncation and are
-    reported separately.  Each relation operator is formed once and both of
-    its norms are taken before the next one is formed.
+    reported separately.  Each relation operator is a sparse product of the
+    compressions; both of its norms are taken block by block.
     """
-    eye = np.eye(rep.quotient_dim)
+    from scipy.sparse import eye_array
+
+    eye = eye_array(rep.quotient_dim, format="csr")
     s, st = rep.right_ops, rep.left_ops
+    s_adj, st_adj = _adjoints(s), _adjoints(st)
     interior, boundary = {}, {}
 
     def record(key, x):
         # operator norm of x on the interior domain and everywhere
-        interior[key] = max(interior.get(key, 0.0), _op_norm(x @ rep.interior))
-        boundary[key] = max(boundary.get(key, 0.0), _op_norm(x))
+        interior[key] = max(interior.get(key, 0.0),
+                            spectral_norm(x @ rep.interior))
+        boundary[key] = max(boundary.get(key, 0.0), spectral_norm(x))
 
     for i in range(rep.d):
         for j in range(rep.d):
-            delta = eye if i == j else 0
-            record("right_isometry", dag(s[i]) @ s[j] - delta)
-            record("left_isometry", dag(st[i]) @ st[j] - delta)
+            if i == j:
+                record("right_isometry", s_adj[i] @ s[j] - eye)
+                record("left_isometry", st_adj[i] @ st[j] - eye)
+            else:
+                record("right_isometry", s_adj[i] @ s[j])
+                record("left_isometry", st_adj[i] @ st[j])
             record("commutation", s[i] @ st[j] - st[j] @ s[i])
-            record("star_commutation", s[i] @ dag(st[j]) - dag(st[j]) @ s[i])
-    record("right_completeness", sum(a @ dag(a) for a in s) - eye)
-    record("left_completeness", sum(a @ dag(a) for a in st) - eye)
+            record("star_commutation", s[i] @ st_adj[j] - st_adj[j] @ s[i])
+    record("right_completeness", sum(a @ b for a, b in zip(s, s_adj)) - eye)
+    record("left_completeness", sum(a @ b for a, b in zip(st, st_adj)) - eye)
     return RelationReport(interior=interior, boundary=boundary)
 
 
 def compression_residual(rep: TwoSidedRep) -> float:
-    """max_i |S_i* P - P S_i* P| and the same for the left family."""
-    p = rep.p_corner
+    """max_i |S_i* P - P S_i* P| and the same for the left family.
+
+    P = C C^H for the (q, m) corner C.  With C = QR the operator is
+    (1 - P) S_i* C R^H Q^H, and Q^H is a coisometry, so its norm is that of
+    the (q, m) matrix (1 - P) S_i* C R^H.
+    """
+    c = rep.corner
+    r_adj = dag(np.linalg.qr(c, mode="r"))
     worst = 0.0
-    for ops in (rep.right_ops, rep.left_ops):
-        for a in ops:
-            worst = max(worst, _op_norm(dag(a) @ p - p @ dag(a) @ p))
+    for a in _adjoints(rep.right_ops) + _adjoints(rep.left_ops):
+        x = a @ c
+        worst = max(worst, spectral_norm((x - c @ (dag(c) @ x)) @ r_adj))
     return worst
 
 
 def _shifted_vectors(ops, word_list, omega) -> np.ndarray:
-    """vecs[x, y] = T_x T_y* omega for T the word products of ops."""
-    tab = word_operators(ops, len(word_list[-1]))
-    adj = np.conj([np.conj(omega) @ tab[w] for w in word_list])  # T_y* omega
-    return np.swapaxes([tab[w] @ adj.T for w in word_list], 1, 2)
+    """vecs[x, y] = T_x T_y* omega for T the forward word products of ops.
+
+    The words are ordered by length, so T_y* omega = T_k* T_y'* omega for
+    y = y' + (k,) and T_x u = T_k T_x' u for x = (k,) + x' are built from
+    shorter words, one sparse operator-vector product each.
+    """
+    adj = _adjoints(ops)
+    down = {(): omega}
+    for w in word_list[1:]:
+        down[w] = adj[w[-1]] @ down[w[:-1]]
+    up = {(): np.stack([down[w] for w in word_list], axis=1)}
+    for w in word_list[1:]:
+        up[w] = ops[w[0]] @ up[w[1:]]
+    return np.stack([up[w].T for w in word_list])
 
 
 def moment_check(rep: TwoSidedRep, sys: KrausSystem, state: InvariantState,
@@ -303,21 +350,25 @@ def shift_check(rep: TwoSidedRep) -> ShiftReport:
 
     Covariance is tested in commutator form V pi(x) = pi(shifted x) V for
     single-site matrix units at the seam, on a domain where all products
-    stay inside the truncation.
+    stay inside the truncation.  Every operator acts on the domain's basis
+    by sparse products before its norm is taken block by block.
     """
     v = rep.shift
-    q = rep.quotient_dim
     interior = rep.interior
-    iso = _op_norm((dag(v) @ v - np.eye(q)) @ interior)
+    iso = spectral_norm(v.conj().T @ (v @ interior) - interior)
     omega_res = float(np.linalg.norm(v @ rep.omega - rep.omega))
 
     dom = _domain(rep.quotient_map, rep.d, rep.level, rep.level - 1,
                   rep.level - 2)
+    v_dom = v @ dom
+    s, st = rep.right_ops, rep.left_ops
+    s_adj, st_adj = _adjoints(s), _adjoints(st)
     worst = 0.0
     for i in range(rep.d):
         for j in range(rep.d):
-            x_left = rep.left_ops[i] @ dag(rep.left_ops[j])
-            x_right = rep.right_ops[i] @ dag(rep.right_ops[j])
-            worst = max(worst, _op_norm((v @ x_left - x_right @ v) @ dom))
+            # (V x_left - x_right V) dom with x = T_i T_j* for each family
+            left_dom = st[i] @ (st_adj[j] @ dom)
+            right_v_dom = s[i] @ (s_adj[j] @ v_dom)
+            worst = max(worst, spectral_norm(v @ left_dom - right_v_dom))
     return ShiftReport(isometry_residual=iso, omega_residual=omega_res,
                        covariance_residual=worst)

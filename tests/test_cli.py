@@ -130,6 +130,22 @@ def test_oversized_moment_table_is_refused(argv, capsys):
         "budget of 1024 MiB"]
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["analyze", "fixture:aklt", "--level", "10000"],
+     "internal consistency failure: level 10000 needs about 3.89e+19081 MiB "
+     "for the 1.06e+9543 x 2.40e+9543 quotient map and 6 sparse shift "
+     "compressions, over the budget of 1024 MiB"),
+    (["moments", "fixture:aklt", "--max-len", "10000"],
+     "internal consistency failure: a moment table of word length <= 10000 "
+     "needs about 9.14e+9537 MiB for the 2.45e+4771 x 2.45e+4771 moment "
+     "matrix, over the budget of 1024 MiB"),
+], ids=["analyze", "moments"])
+def test_huge_sizes_are_refused_in_one_short_line(argv, line, capsys):
+    # sizes with thousands of digits are printed in scientific form
+    assert run(argv) == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
 def test_moment_table_within_budget_runs(tmp_path):
     # W = 3280 words: a 164 MiB moment matrix
     assert run(["analyze", "fixture:aklt", "--no-amalgam", "--cutoff", "7",

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 from fcslab import linalg
 from fcslab.linalg import AntilinearOp, dag
@@ -115,3 +118,44 @@ class TestOperatorSubspace:
         assert ok
         eq, angle = linalg.subspace_equal(a, b)
         assert not eq and angle > 0.5
+
+
+# blocks of a block-diagonal matrix: (rows, cols, share of nonzero entries)
+_BLOCKS = st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6),
+                             st.sampled_from([0.3, 0.7, 1.0])),
+                   min_size=1, max_size=8)
+
+
+def _permuted_block_diagonal(blocks, seed):
+    rng = np.random.default_rng(seed)
+    r = sum(b[0] for b in blocks) + int(rng.integers(0, 3))  # zero rows
+    c = sum(b[1] for b in blocks) + int(rng.integers(0, 3))  # zero columns
+    x = np.zeros((r, c), dtype=np.complex128)
+    i = j = 0
+    for rows, cols, share in blocks:
+        block = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        x[i:i + rows, j:j + cols] = block * (rng.random((rows, cols)) < share)
+        i, j = i + rows, j + cols
+    return x[rng.permutation(r)][:, rng.permutation(c)]
+
+
+class TestSpectralNorm:
+    @pytest.mark.parametrize("sparse", [False, True], ids=["ndarray", "csr"])
+    @settings(max_examples=60, deadline=None)
+    @given(blocks=_BLOCKS, seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_svd(self, sparse, blocks, seed):
+        x = _permuted_block_diagonal(blocks, seed)
+        want = np.linalg.norm(x, 2)
+        got = linalg.spectral_norm(csr_array(x) if sparse else x)
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["ndarray", "csr"])
+    def test_zero_and_dense(self, sparse):
+        def as_input(x):
+            return csr_array(x) if sparse else x
+
+        assert linalg.spectral_norm(as_input(np.zeros((4, 7)))) == 0.0
+        rng = np.random.default_rng(3)
+        dense = rng.normal(size=(9, 5)) + 1j * rng.normal(size=(9, 5))
+        got = linalg.spectral_norm(as_input(dense))
+        assert abs(got - np.linalg.norm(dense, 2)) <= 1e-12 * got

@@ -1,10 +1,11 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from conftest import build_pipeline
-from fcslab import fixtures, twosided
+from fcslab import cli, fixtures, twosided
 
 
 @pytest.fixture(scope="module")
@@ -34,13 +35,24 @@ class TestBuild:
         with pytest.raises(twosided.TruncationError):
             twosided.build(aklt_pipeline.md, aklt_pipeline.dual, level=4)
 
-    def test_memory_guard_message(self, aklt_pipeline):
-        # q = 3^6 * 4 = 2916, N = 40^2 * 4 = 6400: Q and six q x q
-        # compressions, refused before allocation
+    def test_memory_guard_message(self):
+        # q = 2^10 * 4 = 4096, N = 63^2 * 4 = 15876: Q alone (992 MiB) fits,
+        # with the factorization residual's row blocks it does not
+        p = build_pipeline(fixtures.period_two())
         with pytest.raises(twosided.TruncationError,
-                           match=r"about 1063 MiB for the 2916 x 6400 quotient "
-                                 r"map .* over the budget of 1024 MiB"):
-            twosided.build(aklt_pipeline.md, aklt_pipeline.dual, level=3)
+                           match=r"level 5 needs about 1117 MiB for the 4096 x "
+                                 r"15876 quotient map and 4 sparse shift "
+                                 r"compressions, over the budget of 1024 MiB"):
+            twosided.build(p.md, p.dual, level=5)
+
+    def test_compressions_are_sparse(self, aklt_rep):
+        # m nonzeros per column of each S_k, Stilde_k; V has d m per column
+        p, rep = aklt_rep
+        q, m = rep.quotient_dim, p.md.gns_dim
+        for a in rep.right_ops + rep.left_ops:
+            assert a.format == "csr" and a.shape == (q, q)
+            assert a.nnz <= q * m
+        assert rep.shift.format == "csr" and rep.shift.nnz <= rep.d * q * m
 
     @pytest.mark.parametrize("make, corrupt", [
         (fixtures.aklt, lambda p: 1.1 * p.dual.ops),
@@ -87,6 +99,17 @@ class TestMoments:
         p, rep = aklt_rep
         with pytest.raises(ValueError):
             twosided.moment_check(rep, p.comp_sys, p.comp_state, rep.level)
+
+
+class TestDeeperLevel:
+    def test_period_two_level_four(self, tmp_path):
+        # q = 2^8 * 4 = 1024
+        out = tmp_path / "r.json"
+        assert cli.main(["analyze", "fixture:period-two", "--level", "4",
+                         "-o", str(out)]) == cli.EXIT_OK
+        doc = json.loads(out.read_text())["twosided"]
+        assert doc["quotient_dim"] == 1024
+        assert max(doc["interior_residuals"].values()) <= 1e-8
 
 
 class TestShift:

@@ -9,8 +9,10 @@ m x m product, plus an N x N eigh, so it serves only as a small-N oracle
 with both words of length L are an orthonormal basis of the quotient, and
 those with words of fixed shorter lengths are orthonormal bases of the
 domains the residual checks use (the reference finds those by SVD).
-``moment_check`` and ``check_relations`` are compared with their direct
-formulas on the same representation.
+``moment_check``, ``check_relations``, ``shift_check`` and
+``compression_residual`` are compared with their dense formulas (q x q
+products and SVDs of the compressions as dense arrays) on the same
+representation.
 """
 
 import numpy as np
@@ -106,11 +108,20 @@ def reference_domain(rep, max_left, max_right):
     return u[:, s > 1e-10 * max(1.0, s[0])]
 
 
+def _dense(ops):
+    """The sparse compressions as one dense (d, q, q) stack."""
+    return np.array([a.toarray() for a in ops])
+
+
+def _op_norm(x):
+    return float(np.linalg.norm(x, ord=2))
+
+
 def reference_relations(rep):
     """check_relations with every residual taken on an explicit domain."""
     q = rep.quotient_dim
     eye = np.eye(q)
-    s, st, d = rep.right_ops, rep.left_ops, rep.d
+    s, st, d = _dense(rep.right_ops), _dense(rep.left_ops), rep.d
 
     def residuals(domain):
         def norm(x):
@@ -133,11 +144,42 @@ def reference_relations(rep):
     return residuals(rep.interior), residuals(eye)
 
 
+def reference_compression_residual(rep):
+    """max_i |S_i* P - P S_i* P| with the dense q x q projection P."""
+    p = rep.corner @ dag(rep.corner)
+    worst = 0.0
+    for ops in (_dense(rep.right_ops), _dense(rep.left_ops)):
+        for a in ops:
+            worst = max(worst, _op_norm(dag(a) @ p - p @ dag(a) @ p))
+    return worst
+
+
+def reference_shift_check(rep):
+    """shift_check with V and every covariance operator as dense q x q."""
+    right_ops, left_ops = _dense(rep.right_ops), _dense(rep.left_ops)
+    v = sum(right_ops[k] @ dag(left_ops[k]) for k in range(rep.d))
+    q = rep.quotient_dim
+    interior = rep.interior
+    iso = _op_norm((dag(v) @ v - np.eye(q)) @ interior)
+    omega_res = float(np.linalg.norm(v @ rep.omega - rep.omega))
+
+    dom = twosided._domain(rep.quotient_map, rep.d, rep.level, rep.level - 1,
+                           rep.level - 2)
+    worst = 0.0
+    for i in range(rep.d):
+        for j in range(rep.d):
+            x_left = left_ops[i] @ dag(left_ops[j])
+            x_right = right_ops[i] @ dag(right_ops[j])
+            worst = max(worst, _op_norm((v @ x_left - x_right @ v) @ dom))
+    return twosided.ShiftReport(isometry_residual=iso, omega_residual=omega_res,
+                                covariance_residual=worst)
+
+
 def reference_moments(rep, sys, state, window):
     """moment_check with each moment a chain of q x q matrix products."""
     d = rep.d
-    rtab = word_operators(rep.right_ops, window)
-    ltab = word_operators(rep.left_ops, window)
+    rtab = word_operators(_dense(rep.right_ops), window)
+    ltab = word_operators(_dense(rep.left_ops), window)
     omega = rep.omega
     pairs = [(a, b) for a in words(d, window) for b in words(d, window)
              if len(a) == len(b)]
@@ -225,9 +267,9 @@ def test_domains_match_svd(case):
 
 def test_shift_compressions_match(case):
     _, rep, (_, _, right_ops, left_ops) = case
-    assert rep.right_ops.shape == right_ops.shape
-    assert rep.left_ops.shape == left_ops.shape
     for new, ref in ((rep.right_ops, right_ops), (rep.left_ops, left_ops)):
+        new = _dense(new)
+        assert new.shape == ref.shape
         diff = _sorted_singular_values(new) - _sorted_singular_values(ref)
         assert np.max(np.abs(diff)) <= 1e-12
 
@@ -248,3 +290,16 @@ def test_moments_match_direct_formula(case):
     got = twosided.moment_check(rep, p.comp_sys, p.comp_state, window)
     want = reference_moments(rep, p.comp_sys, p.comp_state, window)
     assert abs(got - want) <= 1e-13
+
+
+def test_compression_residual_matches_dense_formula(case):
+    _, rep, _ = case
+    got = twosided.compression_residual(rep)
+    assert abs(got - reference_compression_residual(rep)) <= 1e-12
+
+
+def test_shift_check_matches_dense_formula(case):
+    _, rep, _ = case
+    got, want = twosided.shift_check(rep), reference_shift_check(rep)
+    for key in ("isometry_residual", "omega_residual", "covariance_residual"):
+        assert abs(getattr(got, key) - getattr(want, key)) <= 1e-12, key
