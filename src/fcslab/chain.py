@@ -119,17 +119,8 @@ def gauge_group(sys: KrausSystem, state: InvariantState,
     """
     ws, vals = moment_table(sys, state, length_cutoff)
     lengths = np.array([len(w) for w in ws])
-    mask = np.abs(vals) > tol
-    diffs = set()
-    idx_i, idx_j = np.nonzero(mask)
-    for a, b in zip(idx_i, idx_j):
-        diffs.add(int(lengths[a] - lengths[b]))
-    nonzero = sorted(abs(x) for x in diffs if x != 0)
-    if not nonzero:
-        return GaugeGroup(kind="circle", order=None,
-                          differences=tuple(sorted(diffs)), cutoff=length_cutoff)
-    g = 0
-    for x in nonzero:
-        g = gcd(g, x)
-    return GaugeGroup(kind="cyclic", order=g,
-                      differences=tuple(sorted(diffs)), cutoff=length_cutoff)
+    i, j = np.nonzero(np.abs(vals) > tol)
+    diffs = tuple(np.unique(lengths[i] - lengths[j]).tolist())
+    order = gcd(*diffs)  # of the nonzero |differences|; 0 when there are none
+    return GaugeGroup(kind="cyclic" if order else "circle", order=order or None,
+                      differences=diffs, cutoff=length_cutoff)

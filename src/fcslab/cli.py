@@ -198,14 +198,10 @@ def cmd_moments(args) -> int:
         return EXIT_INTERNAL
     order = "reversed" if args.reverse_words else "forward"
     print(f"# word moments, {order} products, lengths <= {args.max_len}")
-    for a, wa in enumerate(ws):
-        for b, wb in enumerate(ws):
-            z = vals[a, b]
-            if abs(z) <= args.tol:
-                continue
-            ia = ",".join(map(str, wa)) or "-"
-            jb = ",".join(map(str, wb)) or "-"
-            print(f"I=({ia}) J=({jb})  {z.real:+.12f}{z.imag:+.12f}j")
+    for a, b in zip(*np.nonzero(np.abs(vals) > args.tol)):
+        ia, jb = (",".join(map(str, ws[k])) or "-" for k in (a, b))
+        z = vals[a, b]
+        print(f"I=({ia}) J=({jb})  {z.real:+.12f}{z.imag:+.12f}j")
     return EXIT_OK
 
 

@@ -49,26 +49,25 @@ class TruncationError(RuntimeError):
 BYTES_BUDGET = 2**30  # memory of the moment table and of the two-sided build
 
 
-def _figure(n: int) -> str:
-    """n in decimal, or as 1.23e+45 once it has more than 12 digits; the
-    cost and the length of the text stay bounded for integers of any size."""
-    if n < 10**12:
-        return str(n)
-    shift = max(0, n.bit_length() - 64)
-    exp = math.log10(n >> shift) + shift * math.log10(2)
+def _figure(log2n: float) -> str:
+    """2**log2n rounded, in decimal, or as 1.23e+45 once it has more than 12
+    digits; the cost and the length of the text are the same for any size."""
+    exp = log2n * math.log10(2)
+    if exp < 12:
+        return str(round(2 ** log2n))
     mantissa, more = f"{10 ** (exp - int(exp)):.2e}".split("e")
     return f"{mantissa}e+{int(exp) + int(more)}"
 
 
-def check_budget(need: int, subject: str, arrays: str, *sizes: int) -> None:
+def check_budget(log2_need: float, subject: str, arrays: str,
+                 *log2_sizes: float) -> None:
     """Refuse, by TruncationError and before allocating, a construction that
-    needs more than BYTES_BUDGET bytes.  ``arrays`` names what is held, with
-    one ``{}`` per entry of ``sizes``; ``need`` and the sizes may exceed any
-    float and are printed in bounded form."""
-    if need > BYTES_BUDGET:
+    needs more than BYTES_BUDGET bytes.  ``arrays`` names what is held, one
+    ``{}`` per size; the need and the sizes are base-2 logarithms."""
+    if log2_need > math.log2(BYTES_BUDGET):
         raise TruncationError(
-            f"{subject} needs about {_figure((need + 2**19) // 2**20)} MiB for "
-            f"{arrays.format(*map(_figure, sizes))}, "
+            f"{subject} needs about {_figure(log2_need - 20)} MiB for "
+            f"{arrays.format(*map(_figure, log2_sizes))}, "
             f"over the budget of {BYTES_BUDGET // 2**20} MiB")
 
 
@@ -343,6 +342,14 @@ def word_count(d: int, max_len: int) -> int:
     return (d ** (max_len + 1) - 1) // (d - 1) if d > 1 else max_len + 1
 
 
+def log2_word_count(d: int, max_len: int) -> float:
+    """log2 of word_count(d, max_len), at a cost independent of max_len."""
+    if d == 1:
+        return math.log2(max_len + 1)
+    return ((max_len + 1) * math.log2(d) - math.log2(d - 1)
+            + math.log2(1 - float(d) ** -(max_len + 1)))
+
+
 def word_operator(ops, word) -> np.ndarray:
     """Forward product v_{i_1} ... v_{i_m}; empty word gives the identity."""
     ops = as_complex(ops)
@@ -355,18 +362,9 @@ def word_operator(ops, word) -> np.ndarray:
 def word_operators(ops, max_len: int):
     """Dict word -> forward product, for all words up to max_len."""
     ops = as_complex(ops)
-    n = ops.shape[1]
-    table = {(): np.eye(n, dtype=np.complex128)}
-    frontier = [()]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            base = table[w]
-            for k in range(ops.shape[0]):
-                neww = w + (k,)
-                table[neww] = base @ ops[k]
-                nxt.append(neww)
-        frontier = nxt
+    table = {(): np.eye(ops.shape[1], dtype=np.complex128)}
+    for w in words(ops.shape[0], max_len, 1):  # by length: w[:-1] is known
+        table[w] = table[w[:-1]] @ ops[w[-1]]
     return table
 
 
@@ -378,8 +376,8 @@ def moment_table(sys: KrausSystem, state: InvariantState, max_len: int,
     (``v_I = v_{i_m} ... v_{i_1}``), exposed for convention validation.
     A table whose W x W moment matrix exceeds BYTES_BUDGET is refused.
     """
-    w = word_count(sys.d, max_len)
-    check_budget(16 * w * w, f"a moment table of word length <= {max_len}",
+    w = log2_word_count(sys.d, max_len)
+    check_budget(4 + 2 * w, f"a moment table of word length <= {max_len}",
                  "the {} x {} moment matrix", w, w)
     ws = words(sys.d, max_len)
     table = word_operators(sys.ops, max_len)

@@ -18,8 +18,9 @@ Truncation policy: compressed operator matrices are exact on interior
 vectors (word lengths below the level); all residual checks quantify over
 interior vectors only and boundary behavior is reported separately.
 
-The shift compressions have m nonzeros per column and are kept as
-scipy.sparse CSR matrices; every residual norm is taken by
+G, its top rows Q and the shift compressions (m nonzeros per column) are
+scipy.sparse CSR matrices: ||G - Q^H Q||_F is the norm of the stored
+entries of the difference, and every operator norm is taken by
 ``linalg.spectral_norm`` over the exact block pattern of its operator.
 scipy.sparse is imported inside the functions that need it, so code that
 never runs the two-sided check does not load it.
@@ -27,6 +28,7 @@ never runs the two-sided check does not load it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -35,8 +37,8 @@ import numpy as np
 from .linalg import dag, spectral_norm
 from .modular import DualSystem, ModularData
 from .systems import (InvariantState, KrausSystem, TruncationError,
-                      check_budget, moment_table, word_count, word_operators,
-                      words)
+                      check_budget, log2_word_count, moment_table, word_count,
+                      word_operators, words)
 
 FACTOR_RESIDUAL_HARD = 1e-6
 
@@ -46,7 +48,7 @@ class TwoSidedRep:
     level: int
     raw_index: tuple = field(repr=False)  # ((left, right, alpha), ...)
     gram_min_eigenvalue: float  # -||G - Q^H Q||_F, a lower bound on lambda_min
-    quotient_map: np.ndarray = field(repr=False)  # (q, N): raw coords -> quotient
+    quotient_map: object = field(repr=False)  # (q, N) CSR: raw coords -> quotient
     right_ops: tuple = field(repr=False)  # d sparse (q, q) compressions (CSR)
     left_ops: tuple = field(repr=False)  # d sparse (q, q)
     corner: np.ndarray = field(repr=False)  # (q, m): the raw vectors ((), (), alpha)
@@ -125,16 +127,29 @@ def _gram(left: _Pairs, right: _Pairs):
     return out
 
 
-def _factor_residual(qmap, word_list, wtab, vtab) -> float:
-    """||G - Q^H Q||_F for the raw Gram G, one left bra word's rows at a time."""
-    right = _pair_table(word_list, word_list, vtab)
-    rows = qmap.shape[1] // len(word_list)
-    total = 0.0
-    for i, word in enumerate(word_list):
-        block = _gram(_pair_table([word], word_list, wtab), right).toarray()
-        block -= dag(qmap[:, i * rows:(i + 1) * rows]) @ qmap
-        total += float(np.vdot(block, block).real)
-    return float(np.sqrt(total))
+def _log2_pairs(d: int, level: int) -> float:
+    """log2 of the number sum_k (2k+1) d^k of prefix-related word pairs."""
+    if d == 1:
+        return 2 * math.log2(level + 1)
+    tail = (2 * level + 1) * d - 2 * level - 3 + (d + 1) * float(d) ** -(level + 1)
+    return (level + 1) * math.log2(d) - 2 * math.log2(d - 1) + math.log2(tail)
+
+
+def held_bytes(d: int, m: int, level: int) -> float:
+    """log2 of the bytes the check holds at level L, from closed forms.
+
+    Two transients peak in turn: at most 128 bytes per entry of the P^2 Gram
+    blocks of size m x m (with Q^H Q and G - Q^H Q), and 64 per entry of
+    moment_check's W^2 vectors in C^q, W the number of words shorter than L.
+    Held throughout: Q, the compressions and V, with (3d + (L+1)^2) m stored
+    entries per column or fewer, and the dense (q, q / d^2) interior domain,
+    counted twice for the covariance domain made dense in shift_check.
+    """
+    log_q = 2 * level * math.log2(d) + math.log2(m)
+    peak = max(7 + 2 * (_log2_pairs(d, level) + math.log2(m)),
+               6 + 2 * log2_word_count(d, level - 1) + log_q)
+    stored = math.log2(24 * (3 * d + (level + 1) ** 2) * m) + log_q
+    return float(np.logaddexp2.reduce([peak, stored, 5 + 2 * (log_q - math.log2(d))]))
 
 
 def build(md: ModularData, dual: DualSystem, level: int) -> TwoSidedRep:
@@ -142,22 +157,17 @@ def build(md: ModularData, dual: DualSystem, level: int) -> TwoSidedRep:
 
     The top raw vectors (both words of length L) have the identity as Gram
     block and span the shorter ones, as sum_k v_k v_k* = sum_k w_k w_k* = 1.
-    Each shift compression has m nonzeros per column and is kept sparse.
+    The raw Gram G is one sparse matrix, Q its top rows.  Each shift
+    compression has m nonzeros per column and is kept sparse.
     """
     if level < 2:
         raise ValueError("level must be >= 2")
-    d = md.pi_ops.shape[0]
-    m = md.gns_dim
-    nw = word_count(d, level)
-    raw_dim = nw ** 2 * m
-    q = d ** (2 * level) * m
-    # held: the dense (q, N) quotient map and the 3dqm stored entries (16-byte
-    # value, index up to 8 bytes) of the 2d shift compressions and of V;
-    # transient: the two (nw m, N) row blocks of the factorization residual
-    check_budget(16 * raw_dim * (q + 2 * nw * m) + 24 * 3 * d * q * m,
-                 f"level {level}",
-                 "the {} x {} quotient map and {} sparse shift compressions",
-                 q, raw_dim, 2 * d)
+    d, m = md.pi_ops.shape[0], md.gns_dim
+    pairs = _log2_pairs(d, level)
+    check_budget(held_bytes(d, m, level), f"level {level}",
+                 "{} x {} word-pair blocks of the raw Gram, {} sparse shift "
+                 "compressions and moment vectors of dimension {}", pairs,
+                 pairs, math.log2(2 * d), 2 * level * math.log2(d) + math.log2(m))
 
     word_list = words(d, level)
     top = words(d, level, level)
@@ -168,10 +178,12 @@ def build(md: ModularData, dual: DualSystem, level: int) -> TwoSidedRep:
                       for rw in word_list for alpha in range(m))
 
     # Left excess words contribute the duals w_E, right excess words v_F.
-    quotient_map = _gram(_pair_table(top, word_list, wtab),
-                         _pair_table(top, word_list, vtab)).toarray()
+    gram = _gram(_pair_table(word_list, word_list, wtab),
+                 _pair_table(word_list, word_list, vtab))
+    quotient_map = gram[_positions(gram.shape[0], d, level, level, level)]
     # By Weyl's inequality -residual is a lower bound on lambda_min(G).
-    residual = _factor_residual(quotient_map, word_list, wtab, vtab)
+    residual = float(np.linalg.norm(
+        (gram - quotient_map.conj().T.tocsr() @ quotient_map).data))
     if residual > FACTOR_RESIDUAL_HARD:
         raise TruncationError(
             f"Gram matrix does not factor through the top raw vectors "
@@ -189,7 +201,7 @@ def build(md: ModularData, dual: DualSystem, level: int) -> TwoSidedRep:
         right_ops.append(_gram(left_top, _pair_table(top, ext, vtab)))
         left_ops.append(_gram(_pair_table(top, ext, wtab), right_top))
 
-    corner = quotient_map[:, :m]  # raw vectors ((), (), alpha)
+    corner = _domain(quotient_map, d, level, 0, 0)  # raw vectors ((), (), alpha)
     shift = sum(a @ b.conj().T for a, b in zip(right_ops, left_ops)).tocsr()
 
     return TwoSidedRep(
@@ -206,19 +218,22 @@ def build(md: ModularData, dual: DualSystem, level: int) -> TwoSidedRep:
     )
 
 
-def _domain(qmap: np.ndarray, d: int, level: int, left_len: int,
-            right_len: int) -> np.ndarray:
-    """ON basis (q, dim) of the span of raw vectors with shorter words.
+def _positions(size: int, d: int, level: int, left_len: int,
+               right_len: int) -> np.ndarray:
+    """Positions, among ``size`` raw vectors ordered (left word, right word,
+    alpha), of those whose words have exactly these lengths."""
+    nw = word_count(d, level)
+    left = np.arange(word_count(d, left_len - 1), word_count(d, left_len))
+    right = np.arange(word_count(d, right_len - 1), word_count(d, right_len))
+    m = size // (nw * nw)
+    return ((left[:, None] * nw + right)[..., None] * m + np.arange(m)).ravel()
 
-    The raw vectors whose words have exactly these lengths are orthonormal
-    and span those with shorter words, as the top vectors do; their columns
-    of qmap, ordered (left word, right word, alpha), are the basis.
-    """
-    q, nw = qmap.shape[0], word_count(d, level)
-    cols = qmap.reshape(q, nw, nw, -1)
-    left = slice(word_count(d, left_len - 1), word_count(d, left_len))
-    right = slice(word_count(d, right_len - 1), word_count(d, right_len))
-    return cols[:, left, right].reshape(q, -1)
+
+def _domain(qmap, d: int, level: int, left_len: int, right_len: int) -> np.ndarray:
+    """ON basis (q, dim) of the span of raw vectors with shorter words: the
+    columns of qmap for the words of exactly these lengths, which are
+    orthonormal and span the shorter ones, as the top vectors do."""
+    return qmap[:, _positions(qmap.shape[1], d, level, left_len, right_len)].toarray()
 
 
 @dataclass(frozen=True)
@@ -242,9 +257,10 @@ def check_relations(rep: TwoSidedRep) -> RelationReport:
     reported separately.  Each relation operator is a sparse product of the
     compressions; both of its norms are taken block by block.
     """
-    from scipy.sparse import eye_array
+    from scipy.sparse import csr_array, eye_array
 
     eye = eye_array(rep.quotient_dim, format="csr")
+    dom = csr_array(rep.interior)
     s, st = rep.right_ops, rep.left_ops
     s_adj, st_adj = _adjoints(s), _adjoints(st)
     interior, boundary = {}, {}
@@ -252,17 +268,14 @@ def check_relations(rep: TwoSidedRep) -> RelationReport:
     def record(key, x):
         # operator norm of x on the interior domain and everywhere
         interior[key] = max(interior.get(key, 0.0),
-                            spectral_norm(x @ rep.interior))
+                            spectral_norm(x @ dom))
         boundary[key] = max(boundary.get(key, 0.0), spectral_norm(x))
 
     for i in range(rep.d):
         for j in range(rep.d):
-            if i == j:
-                record("right_isometry", s_adj[i] @ s[j] - eye)
-                record("left_isometry", st_adj[i] @ st[j] - eye)
-            else:
-                record("right_isometry", s_adj[i] @ s[j])
-                record("left_isometry", st_adj[i] @ st[j])
+            one = eye if i == j else 0
+            record("right_isometry", s_adj[i] @ s[j] - one)
+            record("left_isometry", st_adj[i] @ st[j] - one)
             record("commutation", s[i] @ st[j] - st[j] @ s[i])
             record("star_commutation", s[i] @ st_adj[j] - st_adj[j] @ s[i])
     record("right_completeness", sum(a @ b for a, b in zip(s, s_adj)) - eye)
@@ -353,13 +366,15 @@ def shift_check(rep: TwoSidedRep) -> ShiftReport:
     stay inside the truncation.  Every operator acts on the domain's basis
     by sparse products before its norm is taken block by block.
     """
+    from scipy.sparse import csr_array
+
     v = rep.shift
-    interior = rep.interior
+    interior = csr_array(rep.interior)
     iso = spectral_norm(v.conj().T @ (v @ interior) - interior)
     omega_res = float(np.linalg.norm(v @ rep.omega - rep.omega))
 
-    dom = _domain(rep.quotient_map, rep.d, rep.level, rep.level - 1,
-                  rep.level - 2)
+    dom = csr_array(_domain(rep.quotient_map, rep.d, rep.level, rep.level - 1,
+                            rep.level - 2))
     v_dom = v @ dom
     s, st = rep.right_ops, rep.left_ops
     s_adj, st_adj = _adjoints(s), _adjoints(st)

@@ -7,6 +7,8 @@ matrix unit or pair.  ``apply_e_map`` is compared with the defining double
 sum, and stacked evaluations with the unbatched calls element by element.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,16 @@ def reference_cluster_values(sys_, state, max_gap):
                 c = chain.two_point(sys_, state, ua, ub, g) - singles[ia] * singles[ib]
                 values[g] = max(values[g], abs(c))
     return values
+
+
+def reference_differences(sys_, state, cutoff, tol=1e-9):
+    """Length differences |I| - |J| of the nonzero moments, pair by pair."""
+    ws, vals = systems.moment_table(sys_, state, cutoff)
+    lengths = np.array([len(w) for w in ws])
+    diffs = set()
+    for a, b in zip(*np.nonzero(np.abs(vals) > tol)):
+        diffs.add(int(lengths[a] - lengths[b]))
+    return tuple(sorted(diffs))
 
 
 CASES = {
@@ -88,3 +100,25 @@ def test_stacked_evaluation_matches_unbatched(n, d):
                 want = chain.two_point(sys_, state, a[i], b[j], gap)
                 assert isinstance(want, complex)
                 assert abs(pairs[i, j] - want) <= 1e-14
+
+
+GAUGE_CASES = {
+    **{name: fixtures.by_name(name) for name in (
+        "aklt", "bernoulli-uniform", "bernoulli-basis", "nonergodic-z2",
+        "two-block", "period-two")},
+    **{f"random-{n}-{d}-{seed}": fixtures.random_system(n, d, seed)
+       for n, d in ((2, 2), (3, 2), (2, 3)) for seed in (0, 1)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAUGE_CASES))
+def test_gauge_differences_match_pair_loop(name):
+    sys_ = GAUGE_CASES[name]
+    state = systems.invariant_states(sys_).mean_state
+    for cutoff in range(6):
+        got = chain.gauge_group(sys_, state, cutoff)
+        want = reference_differences(sys_, state, cutoff)
+        assert got.differences == want
+        assert all(type(x) is int for x in got.differences)
+        nonzero = [abs(x) for x in want if x]
+        assert got.order == (math.gcd(*nonzero) if nonzero else None)

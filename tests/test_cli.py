@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -132,9 +133,10 @@ def test_oversized_moment_table_is_refused(argv, capsys):
 
 @pytest.mark.parametrize("argv, line", [
     (["analyze", "fixture:aklt", "--level", "10000"],
-     "internal consistency failure: level 10000 needs about 3.89e+19081 MiB "
-     "for the 1.06e+9543 x 2.40e+9543 quotient map and 6 sparse shift "
-     "compressions, over the budget of 1024 MiB"),
+     "internal consistency failure: level 10000 needs about 8.17e+19080 MiB "
+     "for 4.89e+4775 x 4.89e+4775 word-pair blocks of the raw Gram, 6 sparse "
+     "shift compressions and moment vectors of dimension 1.06e+9543, over the "
+     "budget of 1024 MiB"),
     (["moments", "fixture:aklt", "--max-len", "10000"],
      "internal consistency failure: a moment table of word length <= 10000 "
      "needs about 9.14e+9537 MiB for the 2.45e+4771 x 2.45e+4771 moment "
@@ -144,6 +146,19 @@ def test_huge_sizes_are_refused_in_one_short_line(argv, line, capsys):
     # sizes with thousands of digits are printed in scientific form
     assert run(argv) == cli.EXIT_INTERNAL
     assert capsys.readouterr().err.splitlines() == [line]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "fixture:aklt", "--level", "100000000"],
+    ["moments", "fixture:aklt", "--max-len", "100000000"],
+], ids=["analyze", "moments"])
+def test_refusal_cost_does_not_grow_with_the_size(argv, capsys):
+    # the budget is checked on logarithms: no size with 10^7 digits is formed
+    start = time.perf_counter()
+    assert run(argv) == cli.EXIT_INTERNAL
+    assert time.perf_counter() - start < 1.0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].endswith("over the budget of 1024 MiB")
 
 
 def test_moment_table_within_budget_runs(tmp_path):

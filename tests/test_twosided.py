@@ -1,11 +1,15 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import build_pipeline
-from fcslab import cli, fixtures, twosided
+from fcslab import cli, fixtures, systems, twosided
 
 
 @pytest.fixture(scope="module")
@@ -36,14 +40,39 @@ class TestBuild:
             twosided.build(aklt_pipeline.md, aklt_pipeline.dual, level=4)
 
     def test_memory_guard_message(self):
-        # q = 2^10 * 4 = 4096, N = 63^2 * 4 = 15876: Q alone (992 MiB) fits,
-        # with the factorization residual's row blocks it does not
+        # the first level refused for period-two: q = 2^12 * 4 = 16384, and
+        # the 63^2 moment vectors in C^q alone need about 3969 MiB
         p = build_pipeline(fixtures.period_two())
         with pytest.raises(twosided.TruncationError,
-                           match=r"level 5 needs about 1117 MiB for the 4096 x "
-                                 r"15876 quotient map and 4 sparse shift "
-                                 r"compressions, over the budget of 1024 MiB"):
-            twosided.build(p.md, p.dual, level=5)
+                           match=r"level 6 needs about 6099 MiB for 1411 x 1411 "
+                                 r"word-pair blocks of the raw Gram, 4 sparse "
+                                 r"shift compressions and moment vectors of "
+                                 r"dimension 16384, over the budget of 1024 MiB"):
+            twosided.build(p.md, p.dual, level=6)
+
+    @pytest.mark.parametrize("make, level", [
+        (fixtures.aklt, 2), (fixtures.aklt, 3),
+        (fixtures.two_block, 2), (fixtures.two_block, 3),
+        (fixtures.period_two, 3), (fixtures.period_two, 4),
+        (fixtures.bernoulli_uniform, 4), (fixtures.bernoulli_uniform, 5),
+    ], ids=["aklt-L2", "aklt-L3", "two-block-L2", "two-block-L3",
+            "period-two-L3", "period-two-L4", "bernoulli-L4", "bernoulli-L5"])
+    def test_guard_bounds_measured_peaks(self, make, level):
+        p = build_pipeline(make())
+        estimate = 2 ** twosided.held_bytes(p.md.pi_ops.shape[0],
+                                            p.md.gns_dim, level)
+        tracemalloc.start()
+        try:
+            rep = twosided.build(p.md, p.dual, level)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            twosided.moment_check(rep, p.comp_sys, p.comp_state, level - 1)
+            moment_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert build_peak <= estimate
+        assert moment_peak <= estimate
 
     def test_compressions_are_sparse(self, aklt_rep):
         # m nonzeros per column of each S_k, Stilde_k; V has d m per column
@@ -102,6 +131,36 @@ class TestMoments:
 
 
 class TestDeeperLevel:
+    def test_aklt_level_three(self, tmp_path):
+        # q = 3^6 * 4 = 2916
+        out = tmp_path / "r.json"
+        assert cli.main(["analyze", "fixture:aklt", "--level", "3",
+                         "-o", str(out)]) == cli.EXIT_OK
+        doc = json.loads(out.read_text())["twosided"]
+        assert doc["quotient_dim"] == 2916
+        assert max(doc["interior_residuals"].values()) <= 1e-8
+        assert doc["gram_min_eigenvalue"] >= -1e-8
+
+    def test_period_two_level_five_runs_within_budget(self, tmp_path):
+        # the deepest period-two level the guard admits must run within the
+        # budget it was admitted under (ru_maxrss is in KiB on Linux)
+        script = ("import resource, sys\n"
+                  "from fcslab import cli\n"
+                  "code = cli.main(sys.argv[1:])\n"
+                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+                  "sys.exit(code)\n")
+        out = tmp_path / "r.json"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "analyze", "fixture:period-two",
+             "--level", "5", "-o", str(out)],
+            capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert int(proc.stdout.split()[-1]) * 1024 < systems.BYTES_BUDGET
+        assert json.loads(out.read_text())["twosided"]["quotient_dim"] == 4096
+
     def test_period_two_level_four(self, tmp_path):
         # q = 2^8 * 4 = 1024
         out = tmp_path / "r.json"

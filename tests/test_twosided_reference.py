@@ -104,7 +104,8 @@ def reference_domain(rep, max_left, max_right):
     d, q = rep.d, rep.quotient_dim
     keep = [i for i, (lw, rw, _) in enumerate(rep.raw_index)
             if len(lw) <= max_left and len(rw) <= max_right]
-    u, s, _ = np.linalg.svd(rep.quotient_map[:, keep], full_matrices=False)
+    u, s, _ = np.linalg.svd(rep.quotient_map[:, keep].toarray(),
+                            full_matrices=False)
     return u[:, s > 1e-10 * max(1.0, s[0])]
 
 
