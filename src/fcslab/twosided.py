@@ -18,10 +18,10 @@ Truncation policy: compressed operator matrices are exact on interior
 vectors (word lengths below the level); all residual checks quantify over
 interior vectors only and boundary behavior is reported separately.
 
-G, its top rows Q and the shift compressions (m nonzeros per column) are
-scipy.sparse CSR matrices: ||G - Q^H Q||_F is the norm of the stored
-entries of the difference, and every operator norm is taken by
-``linalg.spectral_norm`` over the exact block pattern of its operator.
+G, its top rows Q, the domains (columns of Q) and the shift compressions
+(m nonzeros per column) are scipy.sparse CSR matrices: ||G - Q^H Q||_F is
+the norm of the stored entries of the difference, and every operator norm
+is taken by ``linalg.spectral_norm`` over the block pattern of its operator.
 scipy.sparse is imported inside the functions that need it, so code that
 never runs the two-sided check does not load it.
 """
@@ -54,7 +54,7 @@ class TwoSidedRep:
     corner: np.ndarray = field(repr=False)  # (q, m): the raw vectors ((), (), alpha)
     omega: np.ndarray = field(repr=False)
     shift: object = field(repr=False)  # V = sum_k S_k Stilde_k*, CSR
-    interior: np.ndarray = field(repr=False)  # ON basis (q, dim) of interior
+    interior: object = field(repr=False)  # ON basis (q, dim) of interior, CSR
 
     @property
     def quotient_dim(self) -> int:
@@ -135,21 +135,21 @@ def _log2_pairs(d: int, level: int) -> float:
     return (level + 1) * math.log2(d) - 2 * math.log2(d - 1) + math.log2(tail)
 
 
-def held_bytes(d: int, m: int, level: int) -> float:
+def held_bytes(d: int, m: int, level: int) -> tuple:
     """log2 of the bytes the check holds at level L, from closed forms.
 
     Two transients peak in turn: at most 128 bytes per entry of the P^2 Gram
-    blocks of size m x m (with Q^H Q and G - Q^H Q), and 64 per entry of
+    blocks of size m x m (with Q^H Q and G - Q^H Q), and 80 per entry of
     moment_check's W^2 vectors in C^q, W the number of words shorter than L.
-    Held throughout: Q, the compressions and V, with (3d + (L+1)^2) m stored
-    entries per column or fewer, and the dense (q, q / d^2) interior domain,
-    counted twice for the covariance domain made dense in shift_check.
+    Held throughout: Q, the compressions, V and the interior and covariance
+    domains, with (3d + 2 + (L+1)^2) m stored entries per column or fewer.
+    Returns (Gram assembly, moment vectors, held); the check needs the
+    larger transient plus the held bytes.
     """
     log_q = 2 * level * math.log2(d) + math.log2(m)
-    peak = max(7 + 2 * (_log2_pairs(d, level) + math.log2(m)),
-               6 + 2 * log2_word_count(d, level - 1) + log_q)
-    stored = math.log2(24 * (3 * d + (level + 1) ** 2) * m) + log_q
-    return float(np.logaddexp2.reduce([peak, stored, 5 + 2 * (log_q - math.log2(d))]))
+    return (7 + 2 * (_log2_pairs(d, level) + math.log2(m)),
+            math.log2(80) + 2 * log2_word_count(d, level - 1) + log_q,
+            math.log2(24 * (3 * d + 2 + (level + 1) ** 2) * m) + log_q)
 
 
 def build(md: ModularData, dual: DualSystem, level: int) -> TwoSidedRep:
@@ -163,8 +163,8 @@ def build(md: ModularData, dual: DualSystem, level: int) -> TwoSidedRep:
     if level < 2:
         raise ValueError("level must be >= 2")
     d, m = md.pi_ops.shape[0], md.gns_dim
-    pairs = _log2_pairs(d, level)
-    check_budget(held_bytes(d, m, level), f"level {level}",
+    pairs, (*transients, held) = _log2_pairs(d, level), held_bytes(d, m, level)
+    check_budget(np.logaddexp2(max(transients), held), f"level {level}",
                  "{} x {} word-pair blocks of the raw Gram, {} sparse shift "
                  "compressions and moment vectors of dimension {}", pairs,
                  pairs, math.log2(2 * d), 2 * level * math.log2(d) + math.log2(m))
@@ -201,7 +201,7 @@ def build(md: ModularData, dual: DualSystem, level: int) -> TwoSidedRep:
         right_ops.append(_gram(left_top, _pair_table(top, ext, vtab)))
         left_ops.append(_gram(_pair_table(top, ext, wtab), right_top))
 
-    corner = _domain(quotient_map, d, level, 0, 0)  # raw vectors ((), (), alpha)
+    corner = _domain(quotient_map, d, level, 0, 0).toarray()  # ((), (), alpha)
     shift = sum(a @ b.conj().T for a, b in zip(right_ops, left_ops)).tocsr()
 
     return TwoSidedRep(
@@ -229,11 +229,11 @@ def _positions(size: int, d: int, level: int, left_len: int,
     return ((left[:, None] * nw + right)[..., None] * m + np.arange(m)).ravel()
 
 
-def _domain(qmap, d: int, level: int, left_len: int, right_len: int) -> np.ndarray:
-    """ON basis (q, dim) of the span of raw vectors with shorter words: the
-    columns of qmap for the words of exactly these lengths, which are
+def _domain(qmap, d: int, level: int, left_len: int, right_len: int):
+    """ON basis (q, dim) of the span of raw vectors with shorter words, CSR:
+    the columns of qmap for the words of exactly these lengths, which are
     orthonormal and span the shorter ones, as the top vectors do."""
-    return qmap[:, _positions(qmap.shape[1], d, level, left_len, right_len)].toarray()
+    return qmap[:, _positions(qmap.shape[1], d, level, left_len, right_len)]
 
 
 @dataclass(frozen=True)
@@ -257,10 +257,10 @@ def check_relations(rep: TwoSidedRep) -> RelationReport:
     reported separately.  Each relation operator is a sparse product of the
     compressions; both of its norms are taken block by block.
     """
-    from scipy.sparse import csr_array, eye_array
+    from scipy.sparse import eye_array
 
     eye = eye_array(rep.quotient_dim, format="csr")
-    dom = csr_array(rep.interior)
+    dom = rep.interior
     s, st = rep.right_ops, rep.left_ops
     s_adj, st_adj = _adjoints(s), _adjoints(st)
     interior, boundary = {}, {}
@@ -366,15 +366,13 @@ def shift_check(rep: TwoSidedRep) -> ShiftReport:
     stay inside the truncation.  Every operator acts on the domain's basis
     by sparse products before its norm is taken block by block.
     """
-    from scipy.sparse import csr_array
-
     v = rep.shift
-    interior = csr_array(rep.interior)
+    interior = rep.interior
     iso = spectral_norm(v.conj().T @ (v @ interior) - interior)
     omega_res = float(np.linalg.norm(v @ rep.omega - rep.omega))
 
-    dom = csr_array(_domain(rep.quotient_map, rep.d, rep.level, rep.level - 1,
-                            rep.level - 2))
+    dom = _domain(rep.quotient_map, rep.d, rep.level, rep.level - 1,
+                  rep.level - 2)
     v_dom = v @ dom
     s, st = rep.right_ops, rep.left_ops
     s_adj, st_adj = _adjoints(s), _adjoints(st)

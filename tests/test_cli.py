@@ -133,7 +133,7 @@ def test_oversized_moment_table_is_refused(argv, capsys):
 
 @pytest.mark.parametrize("argv, line", [
     (["analyze", "fixture:aklt", "--level", "10000"],
-     "internal consistency failure: level 10000 needs about 8.17e+19080 MiB "
+     "internal consistency failure: level 10000 needs about 5.40e+19080 MiB "
      "for 4.89e+4775 x 4.89e+4775 word-pair blocks of the raw Gram, 6 sparse "
      "shift compressions and moment vectors of dimension 1.06e+9543, over the "
      "budget of 1024 MiB"),
