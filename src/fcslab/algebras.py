@@ -14,6 +14,7 @@ from .linalg import (
     OperatorSubspace,
     as_complex,
     dag,
+    frame_super,
     orthonormalize_matrices,
     sandwich_super,
     solve_linear_space,
@@ -76,7 +77,12 @@ def center_and_factor(space: OperatorSubspace):
 
 
 def channel_super(kraus) -> np.ndarray:
-    """Superoperator matrix of ``x -> sum_k a_k x a_k*`` on vec(x)."""
+    """Superoperator matrix of ``x -> sum_k a_k x a_k*`` on vec(x).
+
+    The package works with the real Hermitian-frame matrix of such a map
+    (:func:`fcslab.linalg.frame_super`); this vec-basis matrix is the
+    reference the tests compare against.
+    """
     kraus = [as_complex(a) for a in kraus]
     return sum(sandwich_super(a, dag(a)) for a in kraus)
 
@@ -84,8 +90,8 @@ def channel_super(kraus) -> np.ndarray:
 def channel_fixed_points(kraus, tol: float = KERNEL_TOL) -> OperatorSubspace:
     """Fixed-point space of a unital Kraus channel.
 
-    The Kraus family must satisfy ``sum a a* = 1``.  The returned subspace
-    is verified to be *-closed.
+    The Kraus family must satisfy ``sum a a* = 1``.  The kernel is solved in
+    the Hermitian frame; the returned subspace is verified to be *-closed.
     """
     kraus = [as_complex(a) for a in kraus]
     n = kraus[0].shape[0]
@@ -93,7 +99,8 @@ def channel_fixed_points(kraus, tol: float = KERNEL_TOL) -> OperatorSubspace:
     defect = float(np.linalg.norm(unit - np.eye(n)))
     if defect > 1e-8 * max(1.0, float(np.linalg.norm(unit))):
         raise ValueError(f"Kraus family is not unital: defect {defect:.3e}")
-    fixed = solve_linear_space([channel_super(kraus) - np.eye(n * n)], n, tol=tol)
+    fixed = solve_linear_space([frame_super(kraus) - np.eye(n * n)], n,
+                               tol=tol, frame=True)
     if not fixed.is_star_closed():
         raise RuntimeError("fixed-point space failed the *-closure check")
     return fixed

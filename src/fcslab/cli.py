@@ -33,8 +33,10 @@ EXIT_INTERNAL = 4
 def _load(path: str, seed=None):
     if path.startswith("fixture:"):
         name = path.split(":", 1)[1]
-        if seed is not None and name.split(":")[0] in ("random", "random-seeded"):
-            name = f"random-seeded:{seed}"
+        parts = name.split(":")
+        if seed is not None and parts[0] in ("random", "random-seeded"):
+            # the override replaces the seed and keeps the shape n:d
+            name = ":".join(["random-seeded", str(seed), *parts[2:]])
         sys_ = fixtures.by_name(name)
         text = serialize.dumps_system(sys_, metadata={"name": name})
         return sys_, text

@@ -82,18 +82,29 @@ _NAMED = {
 }
 
 
+RANDOM_MAX_SIZE = 64  # keeps a short fixture name from asking for a huge system
+
+
 def fixture_names():
-    return sorted(_NAMED) + ["random-seeded:<seed>"]
+    return sorted(_NAMED) + ["random-seeded:<seed>[:<n>:<d>]"]
 
 
 def by_name(name: str) -> KrausSystem:
+    """A built-in system by name; ``random-seeded:<seed>`` is
+    ``random_system(2, 2, seed)`` and ``random-seeded:<seed>:<n>:<d>`` is
+    ``random_system(n, d, seed)``."""
     if name in _NAMED:
         return _NAMED[name]()
     if name.startswith("random-seeded:"):
-        seed = name.split(":", 1)[1]
         try:
-            return random_system(2, 2, int(seed))
+            values = [int(field) for field in name.split(":")[1:]]
+            seed, n, d = values if len(values) == 3 else (*values, 2, 2)
+            if not (1 <= n <= RANDOM_MAX_SIZE and 1 <= d <= RANDOM_MAX_SIZE):
+                raise ValueError
+            return random_system(n, d, seed)
         except ValueError:
-            raise KeyError(f"bad seed {seed!r} in fixture {name!r}; "
-                           "expected a non-negative integer") from None
+            raise KeyError(
+                f"bad fixture {name!r}: expected random-seeded:<seed> or "
+                "random-seeded:<seed>:<n>:<d>, with a non-negative integer "
+                f"seed and integers 1 <= n, d <= {RANDOM_MAX_SIZE}") from None
     raise KeyError(f"unknown fixture {name!r}; known: {', '.join(fixture_names())}")

@@ -1,13 +1,27 @@
-"""Dense complex linear-algebra substrate.
+"""Dense linear-algebra substrate.
 
 Hermitian eigenproblems, the spectral norm of a sparse or dense matrix from
 its connected blocks, spectral powers of positive operators, antilinear
-operators represented as (matrix, implicit entrywise conjugation) pairs, and
-orthonormal subspaces of n x n matrices under the Hilbert-Schmidt inner
-product ``<x, y> = Tr(x* y)``.
+operators represented as (matrix, implicit entrywise conjugation) pairs,
+Kraus maps in the real Hermitian frame, and orthonormal subspaces of n x n
+matrices under the Hilbert-Schmidt inner product ``<x, y> = Tr(x* y)``.
 
 All inner products are linear in the second slot.  Vectorization of matrices
 is row-major throughout: ``vec(A X B) = (A kron B^T) vec(X)``.
+
+The Hermitian frame of n x n matrices is the real orthonormal basis
+
+    E_ii,   (E_ij + E_ji) / sqrt(2),   i (E_ij - E_ji) / sqrt(2)   (i < j)
+
+in this order.  A Hermitian matrix has real coordinates in it
+(:func:`to_frame`), and real coordinates give back a Hermitian matrix
+(:func:`from_frame`).  A map in Kraus form ``x -> sum_k a_k x a_k*``
+preserves Hermiticity, so its matrix in the frame is real
+(:func:`frame_super`); the frame is orthonormal, so that matrix has the
+spectrum and the singular values of the map's complex matrix on vec(x).
+Its eigenvalues and the kernel of its difference with 1
+(:func:`solve_linear_space` with ``frame=True``) come from real LAPACK
+routines.
 """
 
 from __future__ import annotations
@@ -178,6 +192,49 @@ def sandwich_super(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b.T)
 
 
+def to_frame(x) -> np.ndarray:
+    """Real frame coordinates (..., n^2) of Hermitian matrices (..., n, n):
+    the diagonal, then sqrt(2) Re x_ij and sqrt(2) Im x_ij for i < j."""
+    x = as_complex(x)
+    n = x.shape[-1]
+    i, j = np.triu_indices(n, 1)
+    diag = np.arange(n)
+    upper = np.sqrt(2.0) * x[..., i, j]
+    return np.concatenate([x[..., diag, diag].real, upper.real, upper.imag],
+                          axis=-1)
+
+
+def from_frame(coords, n: int) -> np.ndarray:
+    """Hermitian matrices (..., n, n) with real frame coordinates (..., n^2);
+    the inverse of :func:`to_frame`."""
+    coords = np.asarray(coords, dtype=np.float64)
+    i, j = np.triu_indices(n, 1)
+    diag = np.arange(n)
+    re, im = coords[..., n:n + i.size], coords[..., n + i.size:]
+    upper = np.sqrt(0.5) * (re + 1j * im)
+    x = np.zeros(coords.shape[:-1] + (n, n), dtype=np.complex128)
+    x[..., diag, diag] = coords[..., :n]
+    x[..., i, j] = upper
+    x[..., j, i] = upper.conj()
+    return x
+
+
+def frame_super(kraus) -> np.ndarray:
+    """Real n^2 x n^2 matrix of ``x -> sum_k a_k x a_k*`` in the Hermitian
+    frame: column l holds the frame coordinates of the image of the l-th
+    frame element."""
+    kraus = as_complex(kraus)
+    n = kraus.shape[-1]
+    s = np.einsum("aik,ajl->ijkl", kraus, kraus.conj())  # image_ij of E_kl
+    i, j = np.triu_indices(n, 1)
+    diag = np.arange(n)
+    h = np.sqrt(0.5)
+    images = np.concatenate([s[..., diag, diag],
+                             h * (s[..., i, j] + s[..., j, i]),
+                             1j * h * (s[..., i, j] - s[..., j, i])], axis=-1)
+    return np.ascontiguousarray(to_frame(np.moveaxis(images, -1, 0)).T)
+
+
 def orthonormalize_matrices(mats, tol: float = KERNEL_TOL) -> np.ndarray:
     """Orthonormal Hilbert-Schmidt basis of span(mats), shape (k, n, n)."""
     mats = [as_complex(m) for m in mats]
@@ -235,13 +292,17 @@ def outside_component(cols: np.ndarray, space: OperatorSubspace) -> np.ndarray:
 
 
 def solve_linear_space(constraints, ambient_dim: int,
-                       tol: float = KERNEL_TOL) -> OperatorSubspace:
+                       tol: float = KERNEL_TOL,
+                       frame: bool = False) -> OperatorSubspace:
     """Joint kernel of linear maps on n x n matrices.
 
-    Each constraint is an ``n^2 x n^2`` superoperator acting on vec(x).  The
-    empty constraint list yields the full matrix space.
+    Each constraint is an ``n^2 x n^2`` matrix acting on vec(x), or, with
+    ``frame=True``, a real matrix acting on the Hermitian-frame coordinates
+    of x (:func:`to_frame`); the kernel then has a basis of Hermitian
+    matrices, found by a real decomposition.  The empty constraint list
+    yields the full matrix space.
     """
-    constraints = [as_complex(c) for c in constraints]
+    constraints = [np.asarray(c) for c in constraints]
     if not constraints:
         return OperatorSubspace(ambient_dim=ambient_dim,
                                 basis=np.eye(ambient_dim**2))
@@ -252,7 +313,8 @@ def solve_linear_space(constraints, ambient_dim: int,
     _, s, vh = np.linalg.svd(stacked, full_matrices=False)
     smax = max(1.0, float(s[0]) if s.size else 1.0)
     rank = int(np.sum(s > tol * smax))
-    return OperatorSubspace(ambient_dim=ambient_dim, basis=vh[rank:].conj())
+    kernel = from_frame(vh[rank:], ambient_dim) if frame else vh[rank:].conj()
+    return OperatorSubspace(ambient_dim=ambient_dim, basis=kernel)
 
 
 def subspace_contains(inner: OperatorSubspace, outer: OperatorSubspace,

@@ -20,6 +20,7 @@ from .linalg import (
     AntilinearOp,
     as_complex,
     dag,
+    frame_super,
     pos_power,
 )
 from .systems import CanonicalSystem, word_operators
@@ -175,14 +176,15 @@ def dual_system(md: ModularData, word_len: int = 3, moment_len: int = 4,
 
 def dual_channel(md: ModularData, dual: DualSystem,
                  tol: float = DEFAULT_TOL):
-    """Superoperator of y -> sum_k w_k y w_k* plus the duality residual.
+    """Real Hermitian-frame matrix of y -> sum_k w_k y w_k* (see
+    :mod:`fcslab.linalg`) plus the duality residual.
 
     The duality <y Omega, tau(x) Omega> = <tau~(y) Omega, x Omega> is
     verified over all basis pairs x in the algebra, y in its commutant, as
     the largest entry of the difference of two Gram matrices.
     """
     duals = dual.ops
-    super_mat = algebras.channel_super(duals)
+    super_mat = frame_super(duals)
 
     omega = md.omega
     xs = md.can.algebra.basis

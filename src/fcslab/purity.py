@@ -67,8 +67,11 @@ def pipeline(sys: systems.KrausSystem, tol: float = 1e-9) -> Pipeline:
 
 
 def channel_spectrum(sys: systems.KrausSystem):
-    """All n^2 eigenvalues of the transfer channel, deterministically sorted."""
-    w = np.linalg.eigvals(sys.transfer_super())
+    """All n^2 eigenvalues of the transfer channel, deterministically sorted.
+
+    They are read from the real Hermitian-frame matrix, so they come in
+    conjugate pairs."""
+    w = np.linalg.eigvals(sys.transfer_super()).astype(np.complex128)
     order = np.lexsort((np.round(np.angle(w), 12), -np.round(np.abs(w), 12)))
     return w[order]
 
@@ -199,7 +202,8 @@ def purity_battery(sys: systems.KrausSystem, tol: float = 1e-9,
     dual_super, dchan_res = modular.dual_channel(p.md, p.dual)
     residuals.update(dchan_res)
 
-    fix_dual = solve_linear_space([dual_super - np.eye(m * m)], m, tol=tol)
+    fix_dual = solve_linear_space([dual_super - np.eye(m * m)], m, tol=tol,
+                                  frame=True)
     ok_alg_in, r_alg_in = subspace_contains(can.algebra, fix_dual, tol=1e-10)
     residuals["algebra_in_dual_fixed"] = r_alg_in
     dual_ok, angle_dual = subspace_equal(fix_dual, can.algebra, tol=subspace_tol)

@@ -30,11 +30,12 @@ from .linalg import (
     OperatorSubspace,
     as_complex,
     dag,
+    frame_super,
+    from_frame,
     herm_eig,
-    sandwich_super,
+    pos_power,
     solve_linear_space,
-    vec,
-    unvec,
+    to_frame,
 )
 
 
@@ -96,11 +97,14 @@ class KrausSystem:
         return float(np.linalg.norm(total - np.eye(self.n), ord=2))
 
     def transfer_super(self) -> np.ndarray:
-        return algebras.channel_super(self.ops)
+        """Real matrix of the transfer channel ``x -> sum_k v_k x v_k*`` in
+        Hermitian-frame coordinates (see :mod:`fcslab.linalg`), not on vec(x)."""
+        return frame_super(self.ops)
 
     def predual_super(self) -> np.ndarray:
-        """Superoperator matrix of the predual ``rho -> sum_k v_k* rho v_k``."""
-        return sum(sandwich_super(dag(a), a) for a in self.ops)
+        """Real matrix of the predual ``rho -> sum_k v_k* rho v_k`` in
+        Hermitian-frame coordinates (see :mod:`fcslab.linalg`), not on vec(rho)."""
+        return frame_super(dag(self.ops))
 
 
 @dataclass(frozen=True)
@@ -150,8 +154,10 @@ class InvariantSearch:
     extreme_states: tuple  # tuple of InvariantState
 
 
-def _peripheral_projection(super_mat: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Oblique spectral projection onto the eigenvalue-1 cluster."""
+def _peripheral_projection(super_mat: np.ndarray, x: np.ndarray,
+                           tol: float = 1e-8) -> np.ndarray:
+    """Oblique spectral projection of the vector x onto the eigenvalue-1
+    cluster of super_mat."""
     w, vl, vr = scipy.linalg.eig(super_mat, left=True, right=True)
     idx = np.abs(w - 1.0) <= tol
     if not idx.any():
@@ -159,7 +165,7 @@ def _peripheral_projection(super_mat: np.ndarray, tol: float = 1e-8) -> np.ndarr
     r1 = vr[:, idx]
     l1 = vl[:, idx]
     overlap = dag(l1) @ r1
-    return r1 @ np.linalg.solve(overlap, dag(l1))
+    return r1 @ np.linalg.solve(overlap, dag(l1) @ x)
 
 
 def invariant_states(sys: KrausSystem, tol: float = DEFAULT_TOL) -> InvariantSearch:
@@ -170,16 +176,17 @@ def invariant_states(sys: KrausSystem, tol: float = DEFAULT_TOL) -> InvariantSea
     state; it is invariant and has maximal support among invariant
     densities, which makes it the right input for support compression.
     Extreme states are extracted heuristically by diagonalizing a generic
-    Hermitian element of the fixed space.
+    element of the fixed space.  Both decompositions run on the real
+    Hermitian-frame matrix of the predual.
     """
     n = sys.n
     pre = sys.predual_super()
-    fixed = solve_linear_space([pre - np.eye(n * n)], n, tol=tol).basis
+    fixed = solve_linear_space([pre - np.eye(n * n)], n, tol=tol,
+                               frame=True).basis  # Hermitian
     multiplicity = fixed.shape[0]
 
-    proj = _peripheral_projection(pre)
-    rho_bar = unvec(proj @ vec(np.eye(n) / n), n)
-    rho_bar = (rho_bar + dag(rho_bar)) / 2
+    coords = _peripheral_projection(pre, to_frame(np.eye(n) / n))
+    rho_bar = from_frame(coords.real, n)
     rho_bar = rho_bar / np.trace(rho_bar).real
     mean = InvariantState(rho_bar)
     mean.check(sys, tol=max(tol, 1e-10))
@@ -193,13 +200,9 @@ def invariant_states(sys: KrausSystem, tol: float = DEFAULT_TOL) -> InvariantSea
 
 
 def _extreme_states(sys, fixed, rho_bar, tol):
-    """Split rho_bar along spectral projections of a generic fixed element."""
-    n = sys.n
-    herms = []
-    for m in fixed:
-        herms.append((m + dag(m)) / 2)
-        herms.append((m - dag(m)) / 2j)
-    generic = sum((k + 1) * h for k, h in enumerate(herms))
+    """Split rho_bar along spectral projections of a generic element of the
+    fixed space, given by a Hermitian basis."""
+    generic = sum((k + 1) * h for k, h in enumerate(fixed))
     w, u = herm_eig(generic, tol=1e-7)
     # group eigenvalues into clusters to get spectral projections
     clusters = []
@@ -319,6 +322,10 @@ def canonicalize(sys: KrausSystem, state: InvariantState,
         )
     weights = u @ np.diag(w**-0.5)  # columns: new basis coefficients
     c = np.einsum("ab,aij->bij", weights, b)  # (m, n, n) GNS-orthonormal
+    # c is orthonormal to about cond(gram) * eps; one pass of c G(c)^{-1/2}
+    # brings it to working precision
+    refine = pos_power(_coordinates(rho, c, c).T, -0.5)
+    c = np.einsum("ab,aij->bij", refine, c)
     algebra = OperatorSubspace.from_matrices(_represent(rho, c, c), len(c))
     return CanonicalSystem(
         base=sys, state=state, pi_ops=_represent(rho, c, sys.ops),

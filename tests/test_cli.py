@@ -57,6 +57,21 @@ def test_seed_override(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_seed_override_keeps_the_shape(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    assert run(["analyze", "fixture:random-seeded:1:3:3", "--seed", "5",
+                "--no-amalgam", "-o", str(a)]) == cli.EXIT_OK
+    assert run(["analyze", "fixture:random-seeded:5:3:3", "--no-amalgam",
+                "-o", str(b)]) == cli.EXIT_OK
+    assert a.read_bytes() == b.read_bytes()
+    assert json.loads(a.read_text())["gns_dim"] == 9
+    assert run(["moments", "fixture:random-seeded:1:20:2", "--max-len", "1"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + 3 * 3  # header and every moment of 3 words
+    assert lines[1].startswith("I=(-) J=(-)  +1.000000000000")
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -184,10 +199,12 @@ def test_tol_must_be_positive_and_finite(command, tol, capsys):
     (["analyze", "{}"], '{"n": 2, "d": 1, "v": 5}'),
     (["analyze", "{}"], '{"n": 1, "d": 1, "v": [[[[NaN, 0.0]]]]}'),
     (["analyze", "fixture:random-seeded:abc"], None),
+    (["analyze", "fixture:random-seeded:1:2"], None),
+    (["analyze", "fixture:random-seeded:1:65:2"], None),
     (["analyze", "fixture:aklt", "--cutoff", "-1"], None),
     (["moments", "fixture:aklt", "--max-len", "-1"], None),
 ], ids=["no-operators", "v-not-a-list", "nan-entry", "bad-seed",
-        "negative-cutoff", "negative-max-len"])
+        "seed-without-d", "n-too-large", "negative-cutoff", "negative-max-len"])
 def test_malformed_input_is_a_parse_error(argv, system, tmp_path, capsys):
     if system is not None:
         path = tmp_path / "system.json"

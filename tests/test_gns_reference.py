@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import build_pipeline
-from fcslab import algebras, fixtures, modular, purity
+from fcslab import algebras, fixtures, modular, purity, systems
 from fcslab.linalg import OperatorSubspace, dag, subspace_contains
 
 FIXTURES = ("aklt", "bernoulli-uniform", "bernoulli-basis", "nonergodic-z2",
@@ -101,6 +101,21 @@ def test_block_sum(monkeypatch):
     p = build_pipeline(sys_)
     assert p.can.gns_dim == 18
     assert_close(p, monkeypatch, "3+3 block sum")
+
+
+def test_basis_orthonormal_under_perturbed_density():
+    # the basis from the Gram of the algebra alone is orthonormal to about
+    # cond(rho) * eps, which exceeded TOL for some 1e-16 perturbations of
+    # rho on this system (cond(rho) = 244)
+    sys_ = fixtures.random_system(2, 2, 6)
+    rho = systems.invariant_states(sys_).mean_state.rho
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        e = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        state = systems.InvariantState(rho + (e + dag(e)) * 0.5e-16)
+        c = systems.canonicalize(sys_, state).basis_mats
+        gram = np.stack([[np.trace(state.rho @ dag(a) @ b) for b in c] for a in c])
+        assert np.max(np.abs(gram - np.eye(len(c)))) <= TOL
 
 
 def test_stacked_calls_match_single_calls(aklt_pipeline):

@@ -88,7 +88,7 @@ def fixed_spaces(p):
     m = p.can.gns_dim
     fix_tau = algebras.channel_fixed_points(p.can.pi_ops)
     dual_super, _ = modular.dual_channel(p.md, p.dual)
-    fix_dual = solve_linear_space([dual_super - np.eye(m * m)], m)
+    fix_dual = solve_linear_space([dual_super - np.eye(m * m)], m, frame=True)
     return fix_tau, fix_dual
 
 
