@@ -16,6 +16,7 @@ from .linalg import (
     dag,
     frame_super,
     orthonormalize_matrices,
+    psd_range,
     sandwich_super,
     solve_linear_space,
     subspace_intersection,
@@ -58,16 +59,23 @@ def commutant(space: OperatorSubspace,
     Phi does not depend on the basis, so it commutes with conjugation by the
     unitaries of A and maps into A'.  For A = (+)_i M_{k_i} (x) 1_{l_i} it
     multiplies the i-th block of A' by k_i / l_i > 0 and is zero on the
-    complement of A'; in standard form it is the projector onto A'.  Its
-    range is read off one eigh, keeping eigenvalues above tol * max(1, top).
+    complement of A'; in standard form it is the projector onto A'.  So Phi
+    is Hermitian positive semidefinite with range exactly A', of rank
+    r = dim A', and that range is read off a pivoted Cholesky factorization
+    (:func:`fcslab.linalg.psd_range`): its factor columns are combinations
+    of columns of Phi, hence lie in A', and r of them are independent.  The
+    rank cut is at tol * max(1, max diag Phi).
+
+    Forming Phi costs O(dim A * m^4); the factorization stops after r steps
+    of O(m^2 r) and one QR of the m^2 x r factor, where a full eigh of the
+    m^2 x m^2 twirl would cost O(m^6).
     """
     if not space.is_star_closed():
         raise NotStarClosedError("commutant requires a *-closed subspace")
     n, b = space.ambient_dim, space.basis
     twirl = np.einsum("bij,bkl->ikjl", b, np.conj(b), optimize=True)
-    w, u = np.linalg.eigh(twirl.reshape(n * n, n * n))
-    keep = w > tol * max(1.0, float(w[-1]))
-    return OperatorSubspace(ambient_dim=n, basis=u[:, keep].T)
+    return OperatorSubspace(ambient_dim=n,
+                            basis=psd_range(twirl.reshape(n * n, n * n), tol).T)
 
 
 def center_and_factor(space: OperatorSubspace):

@@ -22,6 +22,13 @@ spectrum and the singular values of the map's complex matrix on vec(x).
 Its eigenvalues and the kernel of its difference with 1
 (:func:`solve_linear_space` with ``frame=True``) come from real LAPACK
 routines.
+
+The range of a Hermitian positive semidefinite matrix of rank r is read off
+a pivoted Cholesky factorization (:func:`psd_range`): r steps of O(N r)
+each on an N x N matrix, then one QR of the N x r factor, instead of a full
+O(N^3) eigendecomposition.  Pivoting on the largest residual diagonal makes
+the rank decision stable for semidefinite input (Higham, "Analysis of the
+Cholesky decomposition of a semi-definite matrix", 1990).
 """
 
 from __future__ import annotations
@@ -33,6 +40,8 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 KERNEL_TOL = 1e-9
 SUBSPACE_TOL = 1e-8
+# complex entries in one block of images held by frame_super
+_IMAGE_BLOCK = 2**15
 
 
 class NonHermitianError(ValueError):
@@ -222,17 +231,68 @@ def from_frame(coords, n: int) -> np.ndarray:
 def frame_super(kraus) -> np.ndarray:
     """Real n^2 x n^2 matrix of ``x -> sum_k a_k x a_k*`` in the Hermitian
     frame: column l holds the frame coordinates of the image of the l-th
-    frame element."""
+    frame element.
+
+    The matrix is filled one block of rows k at a time: the images
+    ``sum_a a[:, k] a[:, l]*`` of E_kl for the block's k and l >= k give the
+    columns of E_kk and of the pairs (k, l), and the image of E_lk is the
+    adjoint of that of E_kl.  A block holds about ``_IMAGE_BLOCK`` complex
+    entries, so no complex n^4 array is formed: small n takes one block and
+    n >= 32 one k per block.
+    """
     kraus = as_complex(kraus)
     n = kraus.shape[-1]
-    s = np.einsum("aik,ajl->ijkl", kraus, kraus.conj())  # image_ij of E_kl
-    i, j = np.triu_indices(n, 1)
-    diag = np.arange(n)
     h = np.sqrt(0.5)
-    images = np.concatenate([s[..., diag, diag],
-                             h * (s[..., i, j] + s[..., j, i]),
-                             1j * h * (s[..., i, j] - s[..., j, i])], axis=-1)
-    return np.ascontiguousarray(to_frame(np.moveaxis(images, -1, 0)).T)
+    i, j = np.triu_indices(n, 1)
+    pairs = i.size
+    out = np.empty((n * n, n * n))
+    step = max(1, _IMAGE_BLOCK // n**3)
+    conj = kraus.conj()
+    for k0 in range(0, n, step):
+        k1 = min(n, k0 + step)
+        # s[k - k0, l - k0] is the image of E_kl, for k0 <= k < k1, l >= k0
+        s = np.einsum("aik,ajl->klij", kraus[:, :, k0:k1], conj[:, :, k0:])
+        p0, p1 = np.searchsorted(i, [k0, k1])  # the pairs (k, l), k0 <= k < k1
+        upper = s[i[p0:p1] - k0, j[p0:p1] - k0]
+        lower = dag(upper)
+        rows = k1 - k0
+        diag = np.arange(rows)
+        block = to_frame(np.concatenate(
+            [s[diag, diag], h * (upper + lower), 1j * h * (upper - lower)]))
+        out[:, k0:k1] = block[:rows].T
+        out[:, n + p0:n + p1] = block[rows:rows + p1 - p0].T
+        out[:, n + pairs + p0:n + pairs + p1] = block[rows + p1 - p0:].T
+    return out
+
+
+def psd_range(h, tol: float = KERNEL_TOL) -> np.ndarray:
+    """Orthonormal columns spanning the range of a Hermitian positive
+    semidefinite matrix, by pivoted Cholesky.
+
+    Each step takes the column with the largest residual diagonal, subtracts
+    the factor columns found so far, scales it by the root of its pivot and
+    lowers the residual diagonal by its squared moduli.  The loop stops when
+    the largest residual is at most ``tol * max(1, max diag h)``; the r
+    factor columns found are combinations of columns of h, and one QR makes
+    them orthonormal.  Returns an array of shape (N, r).
+    """
+    h = np.asarray(h)
+    size = h.shape[0]
+    residual = np.real(np.diagonal(h)).copy()
+    cutoff = tol * max(1.0, float(np.max(residual, initial=0.0)))
+    # factor columns stored as rows; untouched rows of np.zeros stay unpaged
+    factor = np.zeros((size, size), dtype=np.result_type(h, 1.0))
+    rank = 0
+    while rank < size:
+        pivot = int(np.argmax(residual))
+        if residual[pivot] <= cutoff:
+            break
+        col = h[:, pivot] - np.conj(factor[:rank, pivot]) @ factor[:rank]
+        col /= np.sqrt(residual[pivot])
+        factor[rank] = col
+        residual -= np.abs(col) ** 2
+        rank += 1
+    return np.linalg.qr(factor[:rank].T)[0]
 
 
 def orthonormalize_matrices(mats, tol: float = KERNEL_TOL) -> np.ndarray:

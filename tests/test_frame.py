@@ -7,6 +7,8 @@ kernel of S - 1, and the oblique projection of the maximally mixed state
 onto the eigenvalue-1 cluster.  They serve only as small-n oracles.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,7 +16,9 @@ import scipy.linalg
 from conftest import RANDOM_CASES, build_pipeline
 from fcslab import algebras, fixtures, modular, purity, systems
 from fcslab.linalg import (
+    as_complex,
     dag,
+    frame_super,
     from_frame,
     solve_linear_space,
     subspace_equal,
@@ -83,6 +87,21 @@ def reference_frame(n):
     return np.array(cols).T
 
 
+def reference_frame_super(kraus):
+    """The frame matrix from the full complex tensor of images of E_kl and
+    one gather per kind of frame element: complex n^4 intermediates."""
+    kraus = as_complex(kraus)
+    n = kraus.shape[-1]
+    s = np.einsum("aik,ajl->ijkl", kraus, kraus.conj())  # image_ij of E_kl
+    i, j = np.triu_indices(n, 1)
+    diag = np.arange(n)
+    h = np.sqrt(0.5)
+    images = np.concatenate([s[..., diag, diag],
+                             h * (s[..., i, j] + s[..., j, i]),
+                             1j * h * (s[..., i, j] - s[..., j, i])], axis=-1)
+    return np.ascontiguousarray(to_frame(np.moveaxis(images, -1, 0)).T)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_frame_coordinates_match_the_basis(n):
     b = reference_frame(n)
@@ -109,6 +128,26 @@ def test_supers_are_the_real_frame_matrices(label, sys_):
         assert got.dtype == np.float64
         assert np.max(np.abs(ref.imag)) <= 1e-14
         assert np.max(np.abs(got - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("label, sys_", CASES, ids=IDS)
+def test_frame_super_is_bitwise_the_tensor_formula(label, sys_):
+    for kraus in (sys_.ops, dag(sys_.ops)):
+        assert np.array_equal(frame_super(kraus), reference_frame_super(kraus))
+
+
+def test_frame_super_peak_memory():
+    # filled one block of columns at a time: the transients are O(n^3),
+    # where the tensor formula held complex n^4 arrays (48 MB at n = 32)
+    kraus = fixtures.random_system(32, 2, 1).ops
+    tracemalloc.start()
+    try:
+        result = frame_super(kraus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.shape == (1024, 1024) and result.dtype == np.float64
+    assert peak <= 2 * result.nbytes, (peak, result.nbytes)
 
 
 @pytest.mark.parametrize("label, sys_", CASES, ids=IDS)

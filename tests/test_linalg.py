@@ -159,3 +159,37 @@ class TestSpectralNorm:
         dense = rng.normal(size=(9, 5)) + 1j * rng.normal(size=(9, 5))
         got = linalg.spectral_norm(as_input(dense))
         assert abs(got - np.linalg.norm(dense, 2)) <= 1e-12 * got
+
+
+def _orthonormality(q):
+    return float(np.max(np.abs(dag(q) @ q - np.eye(q.shape[1])), initial=0.0))
+
+
+class TestPsdRange:
+    def test_rank_zero(self):
+        for h in (np.zeros((6, 6)), 1e-12 * np.eye(6)):
+            q = linalg.psd_range(h)
+            assert q.shape == (6, 0)
+
+    def test_full_rank(self):
+        x = random_matrix(7, 4)
+        q = linalg.psd_range(x @ dag(x) + np.eye(7))
+        assert q.shape == (7, 7)
+        assert _orthonormality(q) <= 1e-13
+
+    def test_known_range_with_spread_eigenvalues(self):
+        rng = np.random.default_rng(5)
+        v, _ = np.linalg.qr(rng.normal(size=(40, 9)) + 1j * rng.normal(size=(40, 9)))
+        # two decades, like the twirl's k / l; the angle any method can
+        # reach is about eps * |h| / (smallest nonzero eigenvalue)
+        d = np.logspace(-1, 1, 9)
+        q = linalg.psd_range((v * d) @ dag(v))
+        assert q.shape == (40, 9)
+        assert _orthonormality(q) <= 1e-13
+        # largest principal angle: the part of v outside span(q)
+        assert np.linalg.norm(v - q @ (dag(q) @ v), 2) <= 1e-12
+
+    @pytest.mark.parametrize("diag, rank", [
+        ([1e3, 5e-7], 1), ([1e3, 2e-6], 2), ([0.5, 5e-10], 1), ([0.5, 2e-9], 2)])
+    def test_cut_at_tol_times_max_of_one_and_the_diagonal(self, diag, rank):
+        assert linalg.psd_range(np.diag(diag)).shape == (2, rank)

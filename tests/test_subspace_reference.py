@@ -5,20 +5,27 @@ it worked with orthonormal bases only: the commutant as the joint kernel of
 the stacked commutator superoperators ``b (x) 1 - 1 (x) b^T``, containment as
 ``|(1 - P_outer) P_inner|_2`` and intersection as the joint kernel of
 ``1 - P_a`` and ``1 - P_b``, where P is the m^2 x m^2 orthogonal projector
-onto a subspace.  Their cost grows like m^6 in time and m^4 in memory, so
+onto a subspace.  The commutant is also compared with the range of the twirl
+read off a full m^2 x m^2 eigh, the rank rule the package used before the
+pivoted Cholesky.  Their cost grows like m^6 in time and m^4 in memory, so
 they serve only as small-m oracles.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_pipeline
 from fcslab import algebras, fixtures, modular
 from fcslab.linalg import (
+    KERNEL_TOL,
     OperatorSubspace,
+    dag,
     sandwich_super,
     solve_linear_space,
     subspace_contains,
+    subspace_equal,
     subspace_intersection,
 )
 
@@ -36,6 +43,27 @@ def reference_commutant(space):
     return solve_linear_space(
         [sandwich_super(b, eye) - sandwich_super(eye, b) for b in space.basis],
         space.ambient_dim)
+
+
+def eigh_commutant(space, tol=KERNEL_TOL):
+    """The range of the twirl (its vec-basis matrix is ``channel_super`` of
+    the basis) from a full eigh, keeping eigenvalues above
+    tol * max(1, top)."""
+    w, u = np.linalg.eigh(algebras.channel_super(space.basis))
+    keep = w > tol * max(1.0, float(w[-1]))
+    return OperatorSubspace(ambient_dim=space.ambient_dim, basis=u[:, keep].T)
+
+
+def commutant_against_eigh(alg):
+    """The package's commutant, checked against :func:`eigh_commutant`:
+    equal dimension, largest angle at most 1e-12, orthonormal to 1e-13."""
+    comm, ref = algebras.commutant(alg), eigh_commutant(alg)
+    assert comm.dim == ref.dim
+    ok, angle = subspace_equal(comm, ref)
+    assert ok and angle <= 1e-12, angle
+    rows = comm.rows
+    assert np.max(np.abs(rows @ dag(rows) - np.eye(comm.dim))) <= 1e-13
+    return comm
 
 
 def reference_contains(inner, outer):
@@ -63,7 +91,7 @@ def compare(alg, others=()):
     Returns (worst principal angle, worst containment-residual difference)
     after asserting that every dimension agrees.
     """
-    comm = algebras.commutant(alg)
+    comm = commutant_against_eigh(alg)
     ref_comm = reference_commutant(alg)
     assert comm.dim == ref_comm.dim
     center, is_factor = algebras.center_and_factor(alg)
@@ -128,43 +156,78 @@ def _embed(block, n, start):
     return out
 
 
-def _m2_amplified():
-    # M_2 (x) 1_3 inside M_6
-    return [np.kron(_unit(2, i, j), np.eye(3)) for i in range(2) for j in range(2)]
+def random_unitary(n, seed):
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return u
 
 
-def _scalars():
-    # C 1 inside M_5
-    return [np.eye(5, dtype=complex)]
+def block_algebra(blocks, seed=None):
+    """(+)_i M_{k_i} (x) 1_{l_i} for blocks [(k_i, l_i), ...], conjugated by
+    a random unitary unless seed is None."""
+    n = sum(k * l for k, l in blocks)
+    mats, start = [], 0
+    for k, l in blocks:
+        mats += [_embed(np.kron(_unit(k, i, j), np.eye(l)), n, start)
+                 for i in range(k) for j in range(k)]
+        start += k * l
+    if seed is not None:
+        u = random_unitary(n, seed)
+        mats = [u @ x @ dag(u) for x in mats]
+    return OperatorSubspace.from_matrices(mats, n)
 
 
-def _rotated_sum():
-    # M_2 (+) M_2 (x) 1_2 (+) C inside M_7, conjugated by a fixed unitary
-    mats = [_embed(_unit(2, i, j), 7, 0) for i in range(2) for j in range(2)]
-    mats += [_embed(np.kron(_unit(2, i, j), np.eye(2)), 7, 2)
-             for i in range(2) for j in range(2)]
-    mats.append(_embed(np.eye(1), 7, 6))
-    rng = np.random.default_rng(3)
-    u, _ = np.linalg.qr(rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)))
-    return [u @ x @ u.conj().T for x in mats]
+# (+)_i M_{k_i} (x) 1_{l_i} and the seed of the unitary it is conjugated by;
+# across these cases the twirl's nonzero eigenvalues k_i / l_i run from 1/8
+# to 5
+NON_STANDARD = {
+    "m2-amplified": ([(2, 3)], None),
+    "scalars": ([(1, 5)], None),
+    "rotated-sum": ([(2, 1), (2, 2), (1, 1)], 3),
+    "1x5": ([(1, 5)], 11),
+    "5x1": ([(5, 1)], 12),
+    "2x3": ([(2, 3)], 13),
+    "3x2": ([(3, 2)], 14),
+    "4x1+1x4": ([(4, 1), (1, 4)], 15),
+    "1x8": ([(1, 8)], 16),
+    "2x4+3x1": ([(2, 4), (3, 1)], 17),
+}
 
 
-@pytest.mark.parametrize("make, n, comm_dim, center_dim, twirl_values", [
-    (_m2_amplified, 6, 9, 1, [2 / 3]),
-    (_scalars, 5, 25, 1, [1 / 5]),
-    (_rotated_sum, 7, 6, 3, [1.0, 2.0]),
-], ids=["m2-amplified", "scalars", "rotated-sum"])
-def test_non_standard_form(make, n, comm_dim, center_dim, twirl_values):
-    alg = OperatorSubspace.from_matrices(make(), n)
+@pytest.mark.parametrize("blocks, seed", NON_STANDARD.values(),
+                         ids=NON_STANDARD.keys())
+def test_non_standard_form(blocks, seed):
+    alg = block_algebra(blocks, seed)
+    comm_dim = sum(l * l for _, l in blocks)
     # on A' the twirl multiplies the i-th block by k_i / l_i, so it is not
     # a projector here, and its range is still the commutant
     twirl = np.linalg.eigvalsh(algebras.channel_super(alg.basis))
     kept = twirl[twirl > 1e-9]
     assert kept.size == comm_dim
-    assert np.allclose(np.unique(np.round(kept, 12)), twirl_values)
+    assert np.allclose(np.unique(np.round(kept, 12)),
+                       sorted({k / l for k, l in blocks}))
     assert np.all(np.abs(twirl[twirl <= 1e-9]) <= 1e-12)
 
     angle, diff = compare(alg)
     assert angle <= 1e-12 and diff <= 1e-12, (angle, diff)
     assert algebras.commutant(alg).dim == comm_dim
-    assert algebras.center_and_factor(alg)[0].dim == center_dim
+    assert algebras.center_and_factor(alg)[0].dim == len(blocks)
+
+
+_SHAPES = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                   min_size=1, max_size=3).filter(
+                       lambda b: sum(k * l for k, l in b) <= 9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(blocks=_SHAPES, seed=st.integers(0, 2**32 - 1))
+def test_commutant_is_unitarily_covariant(blocks, seed):
+    # commutant(U A U*) = U commutant(A) U*
+    alg = block_algebra(blocks, seed)
+    n = alg.ambient_dim
+    u = random_unitary(n, seed + 1)
+    moved = OperatorSubspace(ambient_dim=n, basis=u @ alg.basis @ dag(u))
+    want = OperatorSubspace(ambient_dim=n,
+                            basis=u @ algebras.commutant(alg).basis @ dag(u))
+    ok, angle = subspace_equal(algebras.commutant(moved), want)
+    assert ok and angle <= 1e-12, (blocks, angle)
