@@ -85,25 +85,70 @@ def herm_eig(h, tol: float = DEFAULT_TOL):
 
 
 def spectral_norm(x) -> float:
-    """Operator 2-norm of a matrix (ndarray or scipy.sparse), block by block.
+    """Operator 2-norm of one matrix (ndarray or scipy.sparse)."""
+    return float(spectral_norms([x])[0])
 
-    Rows and columns joined by an exact nonzero form the connected components
-    of a bipartite graph.  Permuting rows and columns into block-diagonal form
-    changes no singular value, so the norm is the largest norm of the
-    component blocks; blocks of one shape share one batched SVD.  Round-off
-    nonzeros only merge components.
+
+def index_dtype(size: int):
+    """32-bit integers for indices below ``size`` when they fit."""
+    return np.int32 if size < 2**31 else np.intp
+
+
+def _entries(x):
+    """Shape and row-ordered (rows, cols, values) of the nonzero entries of a
+    matrix."""
+    from scipy.sparse import issparse
+
+    if not issparse(x):
+        x = np.asarray(x)
+        rows, cols = np.nonzero(x)
+        return x.shape, rows, cols, x[rows, cols]
+    x = x.tocsr()
+    rows = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
+    keep = x.data != 0
+    return x.shape, rows[keep], x.indices[keep].astype(np.intp), x.data[keep]
+
+
+def spectral_norms(ops) -> np.ndarray:
+    """Operator 2-norms of matrices (ndarrays or scipy.sparse), in one pass.
+
+    The matrices are the diagonal blocks of their direct sum.  Rows and
+    columns of the sum joined by an exact nonzero form the connected
+    components of a bipartite graph, each inside one matrix.  Permuting rows
+    and columns into block-diagonal form changes no singular value, so each
+    norm is the largest norm of its matrix's component blocks.  The blocks
+    are laid out one after another in one buffer, grouped by shape and kind
+    (real or complex), and each group takes one batched SVD, whatever
+    matrices its blocks come from: a block gets the same LAPACK call on the
+    same entries as in a pass of its matrix alone.  ``ops`` may be any
+    iterable; each matrix is dropped once its nonzero entries are copied.
+    Round-off nonzeros only merge components.
     """
-    from scipy.sparse import coo_array
+    from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
 
-    coo = coo_array(x)
-    nonzero = coo.data != 0
-    rows, cols, vals = coo.row[nonzero], coo.col[nonzero], coo.data[nonzero]
-    if not vals.size:
-        return 0.0
-    r, c = coo.shape
-    graph = coo_array((np.ones(vals.size), (rows, cols + r)), shape=(r + c,) * 2)
+    rows, cols, vals, heights, real = [], [], [], [], []
+    r = c = 0
+    for x in ops:
+        (nr, nc), i, j, v = _entries(x)
+        del x  # dropped before the next matrix is formed
+        index = index_dtype(max(r + nr, c + nc))
+        rows.append((i + r).astype(index))
+        cols.append((j + c).astype(index))
+        vals.append(v)
+        heights.append(nr)
+        real.append(not np.iscomplexobj(v))
+        r, c = r + nr, c + nc
+    out = np.zeros(len(heights))
+    if not sum(v.size for v in vals):
+        return out
+    rows = np.concatenate(rows, dtype=index_dtype(r + c))
+    cols = np.concatenate(cols, dtype=rows.dtype)
+    # rows are in order, so the graph's row pointers are cumulative counts
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=r + c))])
+    graph = csr_array((np.ones(rows.size), cols + r, indptr), shape=(r + c,) * 2)
     ncomp, label = connected_components(graph, directed=False)
+    del graph, indptr
 
     def local(labels):
         # position of each row (column) among those of its component
@@ -115,18 +160,40 @@ def spectral_norm(x) -> float:
 
     (nrow, row_pos), (ncol, col_pos) = local(label[:r]), local(label[r:])
     comp = label[rows]
-    shape = nrow * (c + 1) + ncol  # one key per block shape
-    worst = 0.0
-    for key in np.unique(shape[comp]):
-        members = np.flatnonzero(shape == key)
-        slot = np.zeros(ncomp, dtype=np.intp)
-        slot[members] = np.arange(members.size)
-        take = shape[comp] == key
-        blocks = np.zeros((members.size, key // (c + 1), key % (c + 1)),
-                          dtype=vals.dtype)
-        blocks[slot[comp[take]], row_pos[rows[take]], col_pos[cols[take]]] = vals[take]
-        worst = max(worst, float(np.max(np.linalg.norm(blocks, 2, axis=(1, 2)))))
-    return worst
+    # the matrix each component lies in, read off its rows
+    owner = np.zeros(ncomp, dtype=np.intp)
+    owner[label[:r]] = np.repeat(np.arange(len(heights)), heights)
+    # one key per block shape and kind; rows or columns without entries are
+    # components with empty blocks
+    group = 2 * (nrow * (c + 1) + ncol) + np.array(real)[owner]
+    order = np.argsort(group, kind="stable")
+    size = (nrow * ncol)[order]
+    offset = np.empty(ncomp, dtype=np.intp)
+    offset[order] = np.cumsum(size) - size
+    # position of each entry in the buffer, built in place
+    flat = row_pos[rows]
+    flat *= ncol[comp]
+    flat += offset[comp]
+    flat += col_pos[cols]
+    del rows, cols, comp, row_pos, col_pos
+    buf = np.zeros(int(size.sum()), dtype=np.result_type(*vals))
+    end = 0
+    for v in vals:
+        buf[flat[end:end + v.size]] = v
+        end += v.size
+    del vals, flat
+    keys, first, count = np.unique(group[order], return_index=True,
+                                   return_counts=True)
+    for key, i, n in zip(keys, first, count):
+        (nr, nc), is_real = divmod(key // 2, c + 1), key % 2
+        if not nr * nc:
+            continue
+        at = offset[order[i]]
+        blocks = buf[at:at + n * nr * nc].reshape(n, nr, nc)
+        np.maximum.at(out, owner[order[i:i + n]],
+                      np.linalg.norm(blocks.real if is_real else blocks, 2,
+                                     axis=(1, 2)))
+    return out
 
 
 def pos_power(p, z, tol: float = DEFAULT_TOL, support_eps: float = 1e-12):

@@ -20,8 +20,9 @@ interior vectors only and boundary behavior is reported separately.
 
 G, its top rows Q, the domains (columns of Q) and the shift compressions
 (m nonzeros per column) are scipy.sparse CSR matrices: ||G - Q^H Q||_F is
-the norm of the stored entries of the difference, and every operator norm
-is taken by ``linalg.spectral_norm`` over the block pattern of its operator.
+the norm of the stored entries of the difference, and each check takes all
+its operator norms in one ``linalg.spectral_norms`` pass over the block
+patterns of its operators.
 scipy.sparse is imported inside the functions that need it, so code that
 never runs the two-sided check does not load it.
 """
@@ -34,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import dag, spectral_norm
+from .linalg import dag, index_dtype, spectral_norms
 from .modular import DualSystem, ModularData
 from .systems import (InvariantState, KrausSystem, TruncationError,
                       check_budget, log2_word_count, moment_table, word_count,
@@ -115,14 +116,17 @@ def _gram(left: _Pairs, right: _Pairs):
 
     m = left.ops.shape[-1]
     (nbl, nkl), (nbr, nkr) = left.counts, right.counts
-    x, y = left.ops[:, None], right.ops[None]
-    blocks = np.where(right.ket_side[:, None, None], x @ y, y @ x)
-    alpha = np.arange(m)
-    rows = (left.bra[:, None] * nbr + right.bra)[..., None, None] * m + alpha[:, None]
-    cols = (left.ket[:, None] * nkr + right.ket)[..., None, None] * m + alpha
-    rows, cols = np.broadcast_arrays(rows, cols)
-    out = csr_array((blocks.ravel(), (rows.ravel(), cols.ravel())),
-                    shape=(nbl * nbr * m, nkl * nkr * m))
+    x, y, ket = left.ops[:, None], right.ops, right.ket_side
+    blocks = np.empty((len(left.ops), len(y), m, m), dtype=np.result_type(x, y))
+    blocks[:, ket] = x @ y[ket]
+    blocks[:, ~ket] = y[~ket] @ x
+    shape = (nbl * nbr * m, nkl * nkr * m)
+    index = index_dtype(max(*shape, blocks.size))
+    alpha = np.arange(m, dtype=index)
+    rows = (left.bra[:, None] * nbr + right.bra).astype(index)[..., None, None] * m
+    cols = (left.ket[:, None] * nkr + right.ket).astype(index)[..., None, None] * m
+    rows, cols = np.broadcast_arrays(rows + alpha[:, None], cols + alpha)
+    out = csr_array((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
     out.eliminate_zeros()
     return out
 
@@ -255,31 +259,40 @@ def check_relations(rep: TwoSidedRep) -> RelationReport:
     Interior residuals are exact statements of the inductive-limit relations
     and must be small; boundary residuals quantify the truncation and are
     reported separately.  Each relation operator is a sparse product of the
-    compressions; both of its norms are taken block by block.
+    compressions; its norms on the interior domain and everywhere are taken
+    with all the others in one block-norm pass.
     """
     from scipy.sparse import eye_array
 
     eye = eye_array(rep.quotient_dim, format="csr")
-    dom = rep.interior
     s, st = rep.right_ops, rep.left_ops
     s_adj, st_adj = _adjoints(s), _adjoints(st)
+
+    def relations():
+        for i in range(rep.d):
+            for j in range(rep.d):
+                one = eye if i == j else 0
+                yield "right_isometry", s_adj[i] @ s[j] - one
+                yield "left_isometry", st_adj[i] @ st[j] - one
+                yield "commutation", s[i] @ st[j] - st[j] @ s[i]
+                yield "star_commutation", s[i] @ st_adj[j] - st_adj[j] @ s[i]
+        yield "right_completeness", sum(a @ b for a, b in zip(s, s_adj)) - eye
+        yield "left_completeness", sum(a @ b for a, b in zip(st, st_adj)) - eye
+
+    keys = []
+
+    def operators():
+        # each relation operator on the interior domain, then everywhere
+        for key, x in relations():
+            keys.append(key)
+            yield x @ rep.interior
+            yield x
+
+    norms = spectral_norms(operators()).reshape(-1, 2)
     interior, boundary = {}, {}
-
-    def record(key, x):
-        # operator norm of x on the interior domain and everywhere
-        interior[key] = max(interior.get(key, 0.0),
-                            spectral_norm(x @ dom))
-        boundary[key] = max(boundary.get(key, 0.0), spectral_norm(x))
-
-    for i in range(rep.d):
-        for j in range(rep.d):
-            one = eye if i == j else 0
-            record("right_isometry", s_adj[i] @ s[j] - one)
-            record("left_isometry", st_adj[i] @ st[j] - one)
-            record("commutation", s[i] @ st[j] - st[j] @ s[i])
-            record("star_commutation", s[i] @ st_adj[j] - st_adj[j] @ s[i])
-    record("right_completeness", sum(a @ b for a, b in zip(s, s_adj)) - eye)
-    record("left_completeness", sum(a @ b for a, b in zip(st, st_adj)) - eye)
+    for key, (inner, outer) in zip(keys, norms.tolist()):
+        interior[key] = max(interior.get(key, 0.0), inner)
+        boundary[key] = max(boundary.get(key, 0.0), outer)
     return RelationReport(interior=interior, boundary=boundary)
 
 
@@ -292,28 +305,37 @@ def compression_residual(rep: TwoSidedRep) -> float:
     """
     c = rep.corner
     r_adj = dag(np.linalg.qr(c, mode="r"))
-    worst = 0.0
-    for a in _adjoints(rep.right_ops) + _adjoints(rep.left_ops):
-        x = a @ c
-        worst = max(worst, spectral_norm((x - c @ (dag(c) @ x)) @ r_adj))
-    return worst
+
+    def operators():
+        for a in _adjoints(rep.right_ops) + _adjoints(rep.left_ops):
+            x = a @ c
+            yield (x - c @ (dag(c) @ x)) @ r_adj
+
+    return max(0.0, *spectral_norms(operators()).tolist())
 
 
-def _shifted_vectors(ops, word_list, omega) -> np.ndarray:
-    """vecs[x, y] = T_x T_y* omega for T the forward word products of ops.
+def _shifted_vectors(ops, word_list, omega, rows) -> np.ndarray:
+    """vecs[rows[x, y]] = T_x T_y* omega for T the forward word products of
+    ops and x, y positions in word_list, filled in place into one (W^2, q)
+    array; rows is a (W, W) arrangement of range(W^2) that fixes the row of
+    each pair.
 
     The words are ordered by length, so T_y* omega = T_k* T_y'* omega for
     y = y' + (k,) and T_x u = T_k T_x' u for x = (k,) + x' are built from
-    shorter words, one sparse operator-vector product each.
+    shorter words: one sparse operator-vector product per y, then one sparse
+    product per x with the W vectors of x' at once.
     """
+    index = {w: i for i, w in enumerate(word_list)}
     adj = _adjoints(ops)
-    down = {(): omega}
+    vecs = np.empty((rows.size, len(omega)),
+                    dtype=np.result_type(omega, *(a.dtype for a in ops)))
+    down = rows[0]  # the vectors T_y* omega of the empty word x = ()
+    vecs[down[0]] = omega
     for w in word_list[1:]:
-        down[w] = adj[w[-1]] @ down[w[:-1]]
-    up = {(): np.stack([down[w] for w in word_list], axis=1)}
+        vecs[down[index[w]]] = adj[w[-1]] @ vecs[down[index[w[:-1]]]]
     for w in word_list[1:]:
-        up[w] = ops[w[0]] @ up[w[1:]]
-    return np.stack([up[w].T for w in word_list])
+        vecs[rows[index[w]]] = (ops[w[0]] @ vecs[rows[index[w[1:]]]].T).T
+    return vecs
 
 
 def moment_check(rep: TwoSidedRep, sys: KrausSystem, state: InvariantState,
@@ -343,10 +365,17 @@ def moment_check(rep: TwoSidedRep, sys: KrausSystem, state: InvariantState,
                 + value[x][:, None] * d ** lens[x] + value[x])
 
     a, b = np.nonzero(lens[:, None] == lens)  # pairs of equal-length words
+    # the vectors of the pairs (a, b) take the first rows, in order, so each
+    # family's Gram factor is a leading slice of its array
+    rows = np.full((len(ws), len(ws)), a.size)
+    rows[a, b] = np.arange(a.size)
+    rows[rows == a.size] = np.arange(a.size, rows.size)
     # left pair (x, y) stands for la = x reversed and lb = y reversed
-    left = _shifted_vectors(rep.left_ops, [w[::-1] for w in ws], rep.omega)
-    right = _shifted_vectors(rep.right_ops, ws, rep.omega)
-    got = np.conj(left[b, a]) @ right[a, b].T
+    left = _shifted_vectors(rep.left_ops, [w[::-1] for w in ws], rep.omega,
+                            rows.T)[:a.size]
+    right = _shifted_vectors(rep.right_ops, ws, rep.omega, rows)[:a.size]
+    got = np.conj(left, out=left) @ right.T
+    del left, right  # freed before the moment table is built
     _, moments = moment_table(sys, state, 2 * window)
     return float(np.max(np.abs(got - moments[joined(a), joined(b)])))
 
@@ -368,7 +397,6 @@ def shift_check(rep: TwoSidedRep) -> ShiftReport:
     """
     v = rep.shift
     interior = rep.interior
-    iso = spectral_norm(v.conj().T @ (v @ interior) - interior)
     omega_res = float(np.linalg.norm(v @ rep.omega - rep.omega))
 
     dom = _domain(rep.quotient_map, rep.d, rep.level, rep.level - 1,
@@ -376,12 +404,16 @@ def shift_check(rep: TwoSidedRep) -> ShiftReport:
     v_dom = v @ dom
     s, st = rep.right_ops, rep.left_ops
     s_adj, st_adj = _adjoints(s), _adjoints(st)
-    worst = 0.0
-    for i in range(rep.d):
-        for j in range(rep.d):
-            # (V x_left - x_right V) dom with x = T_i T_j* for each family
-            left_dom = st[i] @ (st_adj[j] @ dom)
-            right_v_dom = s[i] @ (s_adj[j] @ v_dom)
-            worst = max(worst, spectral_norm(v @ left_dom - right_v_dom))
+
+    def operators():
+        yield v.conj().T @ (v @ interior) - interior
+        for i in range(rep.d):
+            for j in range(rep.d):
+                # (V x_left - x_right V) dom with x = T_i T_j* for each family
+                left_dom = st[i] @ (st_adj[j] @ dom)
+                right_v_dom = s[i] @ (s_adj[j] @ v_dom)
+                yield v @ left_dom - right_v_dom
+
+    iso, *covariance = spectral_norms(operators()).tolist()
     return ShiftReport(isometry_residual=iso, omega_residual=omega_res,
-                       covariance_residual=worst)
+                       covariance_residual=max(0.0, *covariance))

@@ -161,6 +161,68 @@ class TestSpectralNorm:
         assert abs(got - np.linalg.norm(dense, 2)) <= 1e-12 * got
 
 
+def _assert_norms(ops):
+    """One pass over ops against one call per operator (bitwise) and
+    against the dense SVD."""
+    got = linalg.spectral_norms(ops)
+    assert got.shape == (len(ops),)
+    for norm, x in zip(got, ops):
+        assert norm == linalg.spectral_norm(x)
+        want = np.linalg.norm(x.toarray() if hasattr(x, "toarray") else x, 2)
+        assert abs(norm - want) <= 1e-13 * max(1.0, want)
+
+
+class TestSpectralNorms:
+    def test_no_operators(self):
+        assert linalg.spectral_norms([]).shape == (0,)
+        assert linalg.spectral_norms(iter([])).shape == (0,)
+
+    def test_zero_operators(self):
+        ops = [np.zeros((3, 5)), csr_array((4, 2), dtype=complex),
+               csr_array(np.zeros((2, 2)))]
+        assert np.array_equal(linalg.spectral_norms(ops), np.zeros(3))
+        rng = np.random.default_rng(1)
+        _assert_norms(ops[:2] + [rng.normal(size=(3, 3))] + ops[2:])
+
+    def test_empty_rows_and_columns(self):
+        rng = np.random.default_rng(2)
+        x = np.zeros((6, 5), dtype=complex)
+        x[[1, 4]] = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+        x[:, 2] = 0.0
+        y = np.zeros((5, 7))
+        y[:, [0, 6]] = rng.normal(size=(5, 2))
+        y[3] = 0.0
+        _assert_norms([x, csr_array(x), y, csr_array(y), np.zeros((0, 4)),
+                       csr_array((3, 0))])
+
+    def test_mixed_inputs(self):
+        rng = np.random.default_rng(3)
+        ops = []
+        for k, (r, c) in enumerate([(4, 4), (2, 7), (9, 3), (1, 1), (5, 6)]):
+            x = rng.normal(size=(r, c)) * (rng.random((r, c)) < 0.5)
+            if k % 2:
+                x = x + 1j * rng.normal(size=(r, c)) * (x != 0)
+            ops.append(csr_array(x) if k % 3 else x)
+        _assert_norms(ops)
+        _assert_norms(ops[::-1])
+
+    def test_consumes_an_iterator(self):
+        rng = np.random.default_rng(4)
+        ops = [rng.normal(size=(3, 4)), csr_array(rng.normal(size=(2, 2)))]
+        assert np.array_equal(linalg.spectral_norms(iter(ops)),
+                              linalg.spectral_norms(ops))
+
+    @settings(max_examples=40, deadline=None)
+    @given(cases=st.lists(st.tuples(_BLOCKS, st.integers(0, 2**32 - 1),
+                                    st.booleans()), min_size=1, max_size=5))
+    def test_permuted_block_diagonal(self, cases):
+        ops = []
+        for blocks, seed, sparse in cases:
+            x = _permuted_block_diagonal(blocks, seed)
+            ops.append(csr_array(x) if sparse else x)
+        _assert_norms(ops)
+
+
 def _orthonormality(q):
     return float(np.max(np.abs(dag(q) @ q - np.eye(q.shape[1])), initial=0.0))
 

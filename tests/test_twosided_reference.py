@@ -12,7 +12,9 @@ domains the residual checks use (the reference finds those by SVD).
 ``moment_check``, ``check_relations``, ``shift_check`` and
 ``compression_residual`` are compared with their dense formulas (q x q
 products and SVDs of the compressions as dense arrays) on the same
-representation.
+representation.  The last three take all their norms in one block-norm pass;
+the per-operator loops below, with one ``spectral_norm`` call per operator,
+are their exact oracle on deeper levels.
 """
 
 import numpy as np
@@ -21,7 +23,7 @@ import pytest
 from conftest import build_pipeline
 from fcslab import fixtures, systems, twosided
 from fcslab.chain import local_expectation, matrix_unit
-from fcslab.linalg import dag
+from fcslab.linalg import dag, spectral_norm
 from fcslab.systems import word_operators, words
 
 GRAM_KERNEL_TOL = 1e-9
@@ -305,3 +307,83 @@ def test_shift_check_matches_dense_formula(case):
     got, want = twosided.shift_check(rep), reference_shift_check(rep)
     for key in ("isometry_residual", "omega_residual", "covariance_residual"):
         assert abs(getattr(got, key) - getattr(want, key)) <= 1e-12, key
+
+
+def loop_relations(rep):
+    """check_relations with one spectral_norm call per relation operator."""
+    from scipy.sparse import eye_array
+
+    eye = eye_array(rep.quotient_dim, format="csr")
+    dom = rep.interior
+    s, st = rep.right_ops, rep.left_ops
+    s_adj, st_adj = twosided._adjoints(s), twosided._adjoints(st)
+    interior, boundary = {}, {}
+
+    def record(key, x):
+        interior[key] = max(interior.get(key, 0.0), spectral_norm(x @ dom))
+        boundary[key] = max(boundary.get(key, 0.0), spectral_norm(x))
+
+    for i in range(rep.d):
+        for j in range(rep.d):
+            one = eye if i == j else 0
+            record("right_isometry", s_adj[i] @ s[j] - one)
+            record("left_isometry", st_adj[i] @ st[j] - one)
+            record("commutation", s[i] @ st[j] - st[j] @ s[i])
+            record("star_commutation", s[i] @ st_adj[j] - st_adj[j] @ s[i])
+    record("right_completeness", sum(a @ b for a, b in zip(s, s_adj)) - eye)
+    record("left_completeness", sum(a @ b for a, b in zip(st, st_adj)) - eye)
+    return twosided.RelationReport(interior=interior, boundary=boundary)
+
+
+def loop_compression_residual(rep):
+    """compression_residual with one spectral_norm call per compression."""
+    c = rep.corner
+    r_adj = dag(np.linalg.qr(c, mode="r"))
+    worst = 0.0
+    for a in twosided._adjoints(rep.right_ops) + twosided._adjoints(rep.left_ops):
+        x = a @ c
+        worst = max(worst, spectral_norm((x - c @ (dag(c) @ x)) @ r_adj))
+    return worst
+
+
+def loop_shift_check(rep):
+    """shift_check with one spectral_norm call per operator."""
+    v = rep.shift
+    interior = rep.interior
+    iso = spectral_norm(v.conj().T @ (v @ interior) - interior)
+    omega_res = float(np.linalg.norm(v @ rep.omega - rep.omega))
+    dom = twosided._domain(rep.quotient_map, rep.d, rep.level, rep.level - 1,
+                           rep.level - 2)
+    v_dom = v @ dom
+    s, st = rep.right_ops, rep.left_ops
+    s_adj, st_adj = twosided._adjoints(s), twosided._adjoints(st)
+    worst = 0.0
+    for i in range(rep.d):
+        for j in range(rep.d):
+            left_dom = st[i] @ (st_adj[j] @ dom)
+            right_v_dom = s[i] @ (s_adj[j] @ v_dom)
+            worst = max(worst, spectral_norm(v @ left_dom - right_v_dom))
+    return twosided.ShiftReport(isometry_residual=iso, omega_residual=omega_res,
+                                covariance_residual=worst)
+
+
+LOOP_CASES = {
+    "aklt-L2": (fixtures.aklt, 2),
+    "aklt-L3": (fixtures.aklt, 3),
+    "period-two-L3": (fixtures.period_two, 3),
+    "period-two-L4": (fixtures.period_two, 4),
+    "bernoulli-L4": (fixtures.bernoulli_uniform, 4),
+    "bernoulli-L5": (fixtures.bernoulli_uniform, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_CASES))
+def test_norm_pass_equals_per_operator_loops(name):
+    make, level = LOOP_CASES[name]
+    p = build_pipeline(make())
+    rep = twosided.build(p.md, p.dual, level)
+    rel, want = twosided.check_relations(rep), loop_relations(rep)
+    assert list(rel.interior) == list(want.interior)
+    assert rel == want
+    assert twosided.shift_check(rep) == loop_shift_check(rep)
+    assert twosided.compression_residual(rep) == loop_compression_residual(rep)
