@@ -2,7 +2,9 @@
 
 Generated *-algebras, commutants, centers, factor tests, and fixed-point
 spaces of Kraus channels, all as :class:`~fcslab.linalg.OperatorSubspace`
-values in a fixed ambient matrix space.
+values in a fixed ambient matrix space, and the fixed-point lemma that
+certifies a fixed-point space from a faithful invariant density without
+solving for it.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import numpy as np
 
 from .linalg import (
     KERNEL_TOL,
+    SUBSPACE_TOL,
     OperatorSubspace,
     as_complex,
     dag,
@@ -112,3 +115,42 @@ def channel_fixed_points(kraus, tol: float = KERNEL_TOL) -> OperatorSubspace:
     if not fixed.is_star_closed():
         raise RuntimeError("fixed-point space failed the *-closure check")
     return fixed
+
+
+class FixedPointLemmaError(ValueError):
+    """A density does not certify the fixed points of a Kraus channel."""
+
+
+def fixed_point_lemma(kraus, density, tol: float = KERNEL_TOL,
+                      bound: float = SUBSPACE_TOL) -> float:
+    """Certify Fix(x -> sum_k a_k x a_k*) = {a_k, a_k*}' by an invariant
+    faithful density; returns ||sum_k a_k* D a_k - D|| / ||D||.
+
+    For a unital Kraus channel with a faithful invariant state Tr(D .), the
+    fixed points are exactly the commutant of the Kraus operators and their
+    adjoints (Frigerio, Commun. Math. Phys. 63, 269, 1978): for a fixed x,
+    tau(x* x) - x* x = sum_k [a_k*, x]* [a_k*, x] >= 0 has trace zero
+    against D, so it vanishes and x commutes with every a_k*, and so does
+    the fixed x*.  So no m^2 x m^2 kernel is solved: the lemma's hypotheses
+    are checked instead.
+    D is faithful when its smallest eigenvalue exceeds ``tol`` times its
+    largest; the family is unital and D invariant when the unit defect and
+    the relative residual are at most ``bound``.  A failed hypothesis raises
+    :class:`FixedPointLemmaError`.
+    """
+    kraus = as_complex(kraus)
+    density = as_complex(density)
+    w = np.linalg.eigvalsh((density + dag(density)) / 2)
+    if not w[0] > tol * w[-1]:
+        raise FixedPointLemmaError(
+            f"density is not faithful (eigenvalues {w[0]:.3e} to {w[-1]:.3e})")
+    unit = float(np.linalg.norm(
+        np.sum(kraus @ dag(kraus), axis=0) - np.eye(density.shape[0])))
+    residual = float(np.linalg.norm(
+        np.sum(dag(kraus) @ density @ kraus, axis=0) - density)
+        / np.linalg.norm(density))
+    if not max(unit, residual) <= bound:
+        raise FixedPointLemmaError(
+            f"density does not certify the fixed points: unit defect "
+            f"{unit:.3e}, invariance residual {residual:.3e}")
+    return residual

@@ -147,13 +147,17 @@ def _print_summary(report, two_doc) -> None:
     print(f"invariant multiplicity : {report.invariant_multiplicity}", file=err)
     print(f"factor                 : {report.is_factor}", file=err)
     print(f"ergodic                : {report.is_ergodic}", file=err)
+    res = report.residuals
     print(f"fixed(transfer) = commutant : {report.support_identity_ok} "
-          f"(angle {report.residuals['support_identity_angle']:.2e})", file=err)
+          f"(density invariance {res['support_density_invariance']:.2e}, "
+          f"commutant fixed to {res['commutant_in_fixed']:.2e})", file=err)
     if report.dual_identity_ok is None:
         print("fixed(dual) = algebra  : n/a (state not ergodic)", file=err)
     else:
         print(f"fixed(dual) = algebra  : {report.dual_identity_ok} "
-              f"(angle {report.residuals['dual_identity_angle']:.2e})", file=err)
+              f"(density invariance {res['dual_density_invariance']:.2e}, "
+              f"support commutant angle {res['dual_identity_angle']:.2e})",
+              file=err)
     print(f"pure                   : {report.is_pure} ({report.purity_reason})",
           file=err)
     print(f"mixing gap             : {report.mixing_gap:.6f} "

@@ -6,6 +6,10 @@ the support, canonicalizes and builds the modular duals, once.  The battery
 reads its verdicts from that pipeline and decides purity by the
 finite-dimensional certificate: the fixed points of the dual channel equal
 the represented algebra, together with ergodicity of the transfer channel.
+Both fixed-point spaces are certified by the fixed-point lemma
+(:func:`fcslab.algebras.fixed_point_lemma`) from invariant faithful
+densities the pipeline already holds, so no fixed-point kernel on the
+m^2-dimensional matrix space of the GNS space is solved.
 The infinite-volume statements this certifies are documented in the report
 as certified indirectly; they are never tested directly.
 """
@@ -17,12 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebras, chain, modular, systems
-from .linalg import (
-    dag,
-    solve_linear_space,
-    subspace_contains,
-    subspace_equal,
-)
+from .linalg import dag, solve_linear_space, subspace_equal
 
 
 class InternalConsistencyError(RuntimeError):
@@ -133,6 +132,60 @@ def kolmogorov_proxy(sys: systems.KrausSystem, tol: float = 1e-8) -> MixingResul
     return MixingResult(strongly_mixing=bool(strongly), gap=gap)
 
 
+def _lemma(kraus, density, tol: float, bound: float) -> float:
+    """:func:`fcslab.algebras.fixed_point_lemma`, with a failed hypothesis
+    raised as an internal-consistency error."""
+    try:
+        return algebras.fixed_point_lemma(kraus, density, tol=tol, bound=bound)
+    except algebras.FixedPointLemmaError as exc:
+        raise InternalConsistencyError(str(exc)) from None
+
+
+def _fixed_defect(kraus, basis) -> float:
+    """max_j ||sum_k a_k b_j a_k* - b_j|| over a basis {b_j}."""
+    image = sum(a @ basis @ dag(a) for a in kraus)
+    return float(np.max(np.linalg.norm(image - basis, axis=(-2, -1)),
+                        initial=0.0))
+
+
+def _generated_commutant(gens, tol: float):
+    """{g_k, g_k*}' in M_r: the joint kernel of x -> g x - x g over the
+    generators and their adjoints, with r^2 unknowns.  On row-major vec(x)
+    the map has the entries g[i, k] [j = l] - [i = k] g[l, j]."""
+    gens = np.concatenate([gens, dag(gens)])
+    r = gens.shape[-1]
+    eye = np.eye(r)
+    maps = (np.einsum("gik,jl->gijkl", gens, eye)
+            - np.einsum("ik,glj->gijkl", eye, gens))
+    return solve_linear_space([maps.reshape(-1, r * r)], r, tol=tol)
+
+
+def dual_generators(md: modular.ModularData, duals) -> np.ndarray:
+    """The x_k in M_r with pi(x_k) = s_k = J w_k J, for duals w_k in A'.
+
+    s_k lies in A, so x_k = sum_i (s_k Omega)_i c_i over the GNS basis, and
+    s_k Omega = J w_k Omega as J Omega = Omega.  For the modular duals this
+    is the closed form x_k = rho^{-1/2} v_k* rho^{1/2}.
+    """
+    s_omega = md.j((duals @ md.omega).T).T
+    return np.einsum("ki,iab->kab", s_omega, md.can.basis_mats)
+
+
+def dual_identity(md: modular.ModularData, duals, tol: float = 1e-9,
+                  subspace_tol: float = 1e-8):
+    """Whether the fixed points of y -> sum_k w_k y w_k* are the represented
+    algebra A, given that the fixed-point lemma holds for the w_k.
+
+    Then Fix = J {s_k, s_k*}' J with s_k = J w_k J, and J A' J = A, so Fix =
+    A exactly when {s_k, s_k*}' = A', that is when the s_k generate A.
+    Pulled back to the support, that is {x_k, x_k*}' = {v_k, v_k*}' in M_r
+    (:func:`dual_generators`).  Returns (equal, largest principal angle).
+    """
+    return subspace_equal(
+        _generated_commutant(dual_generators(md, duals), tol),
+        _generated_commutant(md.can.base.ops, tol), tol=subspace_tol)
+
+
 @dataclass(frozen=True)
 class PurityReport:
     validated: bool
@@ -166,7 +219,22 @@ def purity_battery(sys: systems.KrausSystem, tol: float = 1e-9,
     """Run the full certificate chain on a system.
 
     With a unique invariant density the purity verdict is the conjunction of
-    ergodicity and the dual-fixed-point identity.  With several invariant
+    ergodicity and the dual-fixed-point identity.  Both fixed-point
+    identities come from the fixed-point lemma, Fix = {K_k, K_k*}' for a
+    unital Kraus family K with a faithful invariant density:
+
+    - support identity, Fix(tau_pi) = A': K = pi(v_k) and D = pi(rho), which
+      is invariant and positive definite, as <x, D x>_phi =
+      ||rho^{1/2} x rho^{1/2}||^2; the computed commutant must be fixed by
+      tau_pi and, in standard form, have the dimension of A;
+    - dual identity, Fix(dual) = A: K = w_k and D~ = J D J give Fix(dual) =
+      J {s_k, s_k*}' J with s_k = J w_k J in A, which is A exactly when the
+      s_k generate A.  Pulled back to the support C^r they are x_k =
+      rho^{-1/2} v_k* rho^{1/2}, and {x_k, x_k*}' and {v_k, v_k*}' are
+      compared as kernels with r^2 unknowns.
+
+    A failed lemma hypothesis or support identity raises
+    :class:`InternalConsistencyError`.  With several invariant
     densities ergodicity fails and purity is reported false with the fields
     that presume ergodicity marked not applicable (None).  The report
     carries the :class:`Pipeline` its verdicts were read from.
@@ -181,32 +249,36 @@ def purity_battery(sys: systems.KrausSystem, tol: float = 1e-9,
     erg = ergodicity(can, tol=subspace_tol)
 
     m = can.gns_dim
+    # in standard form dim A' = dim A: a rank cut of the twirl that drops
+    # part of A' leaves the rest fixed, and only the dimension shows it
     comm = algebras.commutant(can.algebra)
-    fix_tau = algebras.channel_fixed_points(can.pi_ops, tol=tol)
-
-    ok_in, r_in = subspace_contains(comm, fix_tau, tol=1e-10)
-    residuals["commutant_in_fixed"] = r_in
-    ok_support, angle_support = subspace_equal(fix_tau, comm, tol=subspace_tol)
-    residuals["support_identity_angle"] = angle_support
-    if not ok_support:
+    density = can.represent(p.comp_state.rho)
+    residuals["support_density_invariance"] = _lemma(
+        can.pi_ops, density, tol, subspace_tol)
+    residuals["commutant_in_fixed"] = _fixed_defect(can.pi_ops, comm.basis)
+    if (comm.dim != can.algebra.dim
+            or not residuals["commutant_in_fixed"] <= subspace_tol):
         raise InternalConsistencyError(
-            "fixed points of the transfer channel differ from the commutant "
-            f"after canonicalization (angle {angle_support:.3e}); this is a "
-            "bug, not a mathematical outcome"
+            f"the commutant (dim {comm.dim}, fixed-point defect "
+            f"{residuals['commutant_in_fixed']:.3e}) is not the fixed-point "
+            f"space of the transfer channel on an algebra of dim "
+            f"{can.algebra.dim}; this is a bug, not a mathematical outcome"
         )
 
     gauge = chain.gauge_group(p.comp_sys, p.comp_state,
                               length_cutoff=gauge_cutoff, tol=max(tol, 1e-9))
 
     residuals.update({f"dual_{k}": v for k, v in p.dual.residuals.items()})
-    dual_super, dchan_res = modular.dual_channel(p.md, p.dual)
+    _, dchan_res = modular.dual_channel(p.md, p.dual)
     residuals.update(dchan_res)
 
-    fix_dual = solve_linear_space([dual_super - np.eye(m * m)], m, tol=tol,
-                                  frame=True)
-    ok_alg_in, r_alg_in = subspace_contains(can.algebra, fix_dual, tol=1e-10)
-    residuals["algebra_in_dual_fixed"] = r_alg_in
-    dual_ok, angle_dual = subspace_equal(fix_dual, can.algebra, tol=subspace_tol)
+    # Fix(dual) = J {s_k, s_k*}' J, s_k = J w_k J, by the lemma with J D J
+    duals = p.dual.ops
+    residuals["dual_density_invariance"] = _lemma(
+        duals, p.md.j.sandwich(density), tol, subspace_tol)
+    residuals["algebra_in_dual_fixed"] = _fixed_defect(duals,
+                                                       can.algebra.basis)
+    dual_ok, angle_dual = dual_identity(p.md, duals, tol, subspace_tol)
     residuals["dual_identity_angle"] = angle_dual
 
     if multiplicity > 1 or not erg.is_ergodic:
@@ -224,7 +296,7 @@ def purity_battery(sys: systems.KrausSystem, tol: float = 1e-9,
         invariant_multiplicity=multiplicity,
         is_factor=erg.is_factor,
         is_ergodic=erg.is_ergodic,
-        support_identity_ok=bool(ok_support),
+        support_identity_ok=True,
         dual_identity_ok=dual_ok_field,
         is_pure=is_pure,
         purity_reason=reason,

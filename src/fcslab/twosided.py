@@ -142,17 +142,25 @@ def _log2_pairs(d: int, level: int) -> float:
 def held_bytes(d: int, m: int, level: int) -> tuple:
     """log2 of the bytes the check holds at level L, from closed forms.
 
-    Two transients peak in turn: at most 128 bytes per entry of the P^2 Gram
-    blocks of size m x m (with Q^H Q and G - Q^H Q), and 80 per entry of
-    moment_check's W^2 vectors in C^q, W the number of words shorter than L.
+    Three transients peak in turn: at most 128 bytes per entry of the P^2
+    Gram blocks of size m x m (with Q^H Q and G - Q^H Q), 80 per entry of
+    moment_check's W^2 vectors in C^q, W the number of words shorter than L,
+    and 48 per slot of check_relations' one norm pass.  That pass holds the
+    entries of all 4d^2 + 2 relation operators and of their interior
+    restrictions and indexes their 3q + q/d^2 < 4q rows and columns.  Each
+    relation operator maps the raw vectors of one word pair into those of
+    one other pair, with at most d m stored entries per column, and an
+    interior column has d^2 m entries, so the restriction has at most m q:
+    (d m + m + 4) q slots per relation.
     Held throughout: Q, the compressions, V and the interior and covariance
     domains, with (3d + 2 + (L+1)^2) m stored entries per column or fewer.
-    Returns (Gram assembly, moment vectors, held); the check needs the
-    larger transient plus the held bytes.
+    Returns (Gram assembly, moment vectors, relation norms, held); the check
+    needs the largest transient plus the held bytes.
     """
     log_q = 2 * level * math.log2(d) + math.log2(m)
     return (7 + 2 * (_log2_pairs(d, level) + math.log2(m)),
             math.log2(80) + 2 * log2_word_count(d, level - 1) + log_q,
+            math.log2(48 * (4 * d * d + 2) * (d * m + m + 4)) + log_q,
             math.log2(24 * (3 * d + 2 + (level + 1) ** 2) * m) + log_q)
 
 

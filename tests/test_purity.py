@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcslab import fixtures, purity
+from fcslab.systems import KrausSystem
 
 
 class TestChannelSpectrum:
@@ -72,8 +75,41 @@ class TestBattery:
         assert any("finite-dimensional" in note for note in rep.notes)
 
     def test_validation_error_on_bad_system(self):
-        from fcslab.systems import KrausSystem
         bad = KrausSystem(np.stack([np.eye(2, dtype=complex),
                                     np.eye(2, dtype=complex)]))
         with pytest.raises(Exception):
             purity.purity_battery(bad)
+
+
+_FIELDS = ("is_pure", "is_ergodic", "is_factor", "invariant_multiplicity",
+           "strongly_mixing", "support_identity_ok", "dual_identity_ok")
+
+
+def _unitary(n, rng):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _verdicts(sys_):
+    rep = purity.purity_battery(sys_)
+    return tuple(getattr(rep, f) for f in _FIELDS)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sizes=st.tuples(st.integers(1, 4), st.integers(0, 3)).filter(
+           lambda s: sum(s) <= 4),
+       d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_verdicts_are_gauge_and_letter_covariant(sizes, d, seed):
+    # verdicts do not change under v_k -> U v_k U* nor under the letter
+    # mixing v_k -> sum_l u_kl v_l; a second block gives non-ergodic input
+    n1, n2 = sizes
+    sys_ = fixtures.random_system(n1, d, seed)
+    if n2:
+        sys_ = fixtures.block_sum(sys_, fixtures.random_system(n2, d, seed + 1))
+    rng = np.random.default_rng(seed)
+    u = _unitary(sys_.n, rng)
+    mix = _unitary(d, rng)
+    want = _verdicts(sys_)
+    assert _verdicts(KrausSystem(u @ sys_.ops @ u.conj().T)) == want
+    assert _verdicts(KrausSystem(np.einsum("kl,lij->kij", mix, sys_.ops))) \
+        == want

@@ -62,7 +62,7 @@ class TestBuild:
             "period-two-L3", "period-two-L4", "bernoulli-L4", "bernoulli-L5"])
     def test_guard_bounds_measured_peaks(self, make, level):
         p = build_pipeline(make())
-        gram, moments, held = (2 ** x for x in twosided.held_bytes(
+        gram, moments, relations, held = (2 ** x for x in twosided.held_bytes(
             p.md.pi_ops.shape[0], p.md.gns_dim, level))
         checks = {
             "moment_check": lambda rep: twosided.moment_check(
@@ -84,11 +84,26 @@ class TestBuild:
         finally:
             tracemalloc.stop()
         # each transient against its own term plus what is held throughout;
-        # the norm passes of the residual checks against the larger term
+        # the norm passes of the other residual checks against the largest
         assert build_peak <= gram + held
         assert peaks.pop("moment_check") <= moments + held
+        assert peaks.pop("check_relations") <= relations + held
         for name, peak in peaks.items():
-            assert peak <= max(gram, moments) + held, name
+            assert peak <= max(gram, moments, relations) + held, name
+
+    @pytest.mark.parametrize("name, refused", [
+        ("aklt", 4), ("two-block", 4), ("period-two", 6),
+        ("bernoulli-uniform", 6), ("bernoulli-basis", 6), ("nonergodic-z2", 6),
+    ])
+    def test_first_refused_level(self, name, refused):
+        # the guard admits the level below (by its own need, without
+        # building it) and refuses this one before allocating
+        p = build_pipeline(fixtures.by_name(name))
+        *transients, held = twosided.held_bytes(
+            p.md.pi_ops.shape[0], p.md.gns_dim, refused - 1)
+        assert 2 ** max(transients) + 2 ** held <= systems.BYTES_BUDGET
+        with pytest.raises(twosided.TruncationError, match="over the budget"):
+            twosided.build(p.md, p.dual, refused)
 
     def test_compressions_are_sparse(self, aklt_rep):
         # m nonzeros per column of each S_k, Stilde_k; V has d m per column
