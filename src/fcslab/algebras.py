@@ -34,23 +34,30 @@ def generated_algebra(gens, ambient_dim: int,
                       tol: float = KERNEL_TOL) -> OperatorSubspace:
     """Smallest unital *-algebra containing the generators.
 
-    Closure is computed by repeated pairwise products of the current
-    orthonormal basis until the span dimension stabilizes; the dimension can
-    grow at most ``ambient_dim**2`` times.
+    The algebra is the span of the words in the letters {g, g*}.  Starting
+    from span{1, g, g*}, each round multiplies the current orthonormal basis
+    from the left by every letter, 2d dim A products for d generators, and
+    re-orthonormalizes; a span that contains 1 and is closed under left
+    multiplication by the letters holds every word, and the letters are
+    closed under *, so it is the generated *-algebra.  The dimension grows
+    in every round but the last, and the closure returns at once when it
+    reaches ``ambient_dim**2``.
     """
     n = ambient_dim
-    seed = [np.eye(n, dtype=np.complex128)]
-    for g in gens:
-        g = as_complex(g)
-        seed.append(g)
-        seed.append(dag(g))
-    basis = orthonormalize_matrices(seed, tol=tol)
+    letters = as_complex(gens).reshape(-1, n, n)
+    letters = np.concatenate([letters, dag(letters)])
+    basis = orthonormalize_matrices(
+        np.concatenate([np.eye(n, dtype=np.complex128)[None], letters]),
+        tol=tol)
     for _ in range(n * n + 1):
-        products = [a @ b for a in basis for b in basis]
-        new_basis = orthonormalize_matrices(list(basis) + products, tol=tol)
-        if new_basis.shape[0] == basis.shape[0]:
-            return OperatorSubspace(ambient_dim=n, basis=new_basis)
-        basis = new_basis
+        if basis.shape[0] == n * n:
+            return OperatorSubspace(ambient_dim=n, basis=basis)
+        products = (letters[:, None] @ basis[None]).reshape(-1, n, n)
+        grown = orthonormalize_matrices(np.concatenate([basis, products]),
+                                        tol=tol)
+        if grown.shape[0] == basis.shape[0]:
+            return OperatorSubspace(ambient_dim=n, basis=grown)
+        basis = grown
     raise RuntimeError("algebra closure did not stabilize")  # pragma: no cover
 
 
@@ -69,16 +76,28 @@ def commutant(space: OperatorSubspace,
     of columns of Phi, hence lie in A', and r of them are independent.  The
     rank cut is at tol * max(1, max diag Phi).
 
-    Forming Phi costs O(dim A * m^4); the factorization stops after r steps
-    of O(m^2 r) and one QR of the m^2 x r factor, where a full eigh of the
-    m^2 x m^2 twirl would cost O(m^6).
+    Phi is never formed.  On row-major vec(x) its entries are
+    ``Phi[(i, k), (j, l)] = sum_b b_ij conj(b_kl)``, so its diagonal is one
+    (m x dim A) (dim A x m) product of the basis diagonals, and its column
+    (j, l) is ``vec(B_j^T conj(B_l))`` with ``B_j = [b_ij]_(b, i)``, at
+    O(dim A * m^2).  The factorization asks for r columns and takes r steps
+    of O(m^2 r), then one QR of the m^2 x r factor, where forming Phi would
+    cost O(dim A * m^4) and a full eigh of it O(m^6).
     """
     if not space.is_star_closed():
         raise NotStarClosedError("commutant requires a *-closed subspace")
-    n, b = space.ambient_dim, space.basis
-    twirl = np.einsum("bij,bkl->ikjl", b, np.conj(b), optimize=True)
-    return OperatorSubspace(ambient_dim=n,
-                            basis=psd_range(twirl.reshape(n * n, n * n), tol).T)
+    m, b = space.ambient_dim, space.basis
+    # cols[j] = B_j^T, one (m, dim A) slice per column index of the basis
+    cols = np.ascontiguousarray(b.transpose(2, 1, 0))
+    d = np.einsum("bii->ib", b)  # d[i, b] = b_ii
+
+    def column(p):
+        j, l = divmod(p, m)
+        return (cols[j] @ np.conj(cols[l]).T).reshape(-1)
+
+    return OperatorSubspace(
+        ambient_dim=m,
+        basis=psd_range(np.real(d @ np.conj(d.T)).reshape(-1), column, tol).T)
 
 
 def center_and_factor(space: OperatorSubspace):

@@ -26,9 +26,11 @@ routines.
 The range of a Hermitian positive semidefinite matrix of rank r is read off
 a pivoted Cholesky factorization (:func:`psd_range`): r steps of O(N r)
 each on an N x N matrix, then one QR of the N x r factor, instead of a full
-O(N^3) eigendecomposition.  Pivoting on the largest residual diagonal makes
-the rank decision stable for semidefinite input (Higham, "Analysis of the
-Cholesky decomposition of a semi-definite matrix", 1990).
+O(N^3) eigendecomposition.  The matrix enters through its diagonal and a
+column callback, so only its r pivot columns are ever formed.  Pivoting on
+the largest residual diagonal makes the rank decision stable for
+semidefinite input (Higham, "Analysis of the Cholesky decomposition of a
+semi-definite matrix", 1990).
 """
 
 from __future__ import annotations
@@ -332,29 +334,36 @@ def frame_super(kraus) -> np.ndarray:
     return out
 
 
-def psd_range(h, tol: float = KERNEL_TOL) -> np.ndarray:
+def psd_range(diag, column, tol: float = KERNEL_TOL) -> np.ndarray:
     """Orthonormal columns spanning the range of a Hermitian positive
-    semidefinite matrix, by pivoted Cholesky.
+    semidefinite N x N matrix h, by pivoted Cholesky.
 
-    Each step takes the column with the largest residual diagonal, subtracts
-    the factor columns found so far, scales it by the root of its pivot and
-    lowers the residual diagonal by its squared moduli.  The loop stops when
-    the largest residual is at most ``tol * max(1, max diag h)``; the r
-    factor columns found are combinations of columns of h, and one QR makes
-    them orthonormal.  Returns an array of shape (N, r).
+    The matrix is given by its real diagonal (length N) and a callback
+    ``column(j)`` returning column j of h, so h need not be formed: only the
+    r pivot columns are asked for.  Each step takes the column with the
+    largest residual diagonal, subtracts the factor columns found so far,
+    scales it by the root of its pivot and lowers the residual diagonal by
+    its squared moduli.  The loop stops when the largest residual is at most
+    ``tol * max(1, max diag h)``; the r factor columns found are
+    combinations of columns of h, and one QR makes them orthonormal.  The
+    factor buffer doubles as the rank grows, so it holds at most 2r rows of
+    length N.  Returns an array of shape (N, r).
     """
-    h = np.asarray(h)
-    size = h.shape[0]
-    residual = np.real(np.diagonal(h)).copy()
+    residual = np.real(diag).astype(np.float64)
+    size = residual.size
     cutoff = tol * max(1.0, float(np.max(residual, initial=0.0)))
-    # factor columns stored as rows; untouched rows of np.zeros stay unpaged
-    factor = np.zeros((size, size), dtype=np.result_type(h, 1.0))
+    factor = np.empty((0, size), dtype=np.complex128)  # columns as rows
     rank = 0
     while rank < size:
         pivot = int(np.argmax(residual))
         if residual[pivot] <= cutoff:
             break
-        col = h[:, pivot] - np.conj(factor[:rank, pivot]) @ factor[:rank]
+        if rank == factor.shape[0]:
+            grown = np.empty((min(size, max(8, 2 * rank)), size),
+                             dtype=factor.dtype)
+            grown[:rank] = factor
+            factor = grown
+        col = column(pivot) - np.conj(factor[:rank, pivot]) @ factor[:rank]
         col /= np.sqrt(residual[pivot])
         factor[rank] = col
         residual -= np.abs(col) ** 2
@@ -363,14 +372,15 @@ def psd_range(h, tol: float = KERNEL_TOL) -> np.ndarray:
 
 
 def orthonormalize_matrices(mats, tol: float = KERNEL_TOL) -> np.ndarray:
-    """Orthonormal Hilbert-Schmidt basis of span(mats), shape (k, n, n)."""
-    mats = [as_complex(m) for m in mats]
-    if not mats:
+    """Orthonormal Hilbert-Schmidt basis of span(mats), shape (k, n, n).
+
+    ``mats`` is a stack (k, n, n) or a sequence of n x n matrices."""
+    mats = as_complex(mats)
+    if not mats.size:
         return np.zeros((0, 0, 0), dtype=np.complex128)
-    n = mats[0].shape[0]
-    stacked = np.stack([vec(m) for m in mats])
-    u, s, vh = np.linalg.svd(stacked, full_matrices=False)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
+    k, n = mats.shape[0], mats.shape[-1]
+    u, s, vh = np.linalg.svd(mats.reshape(k, n * n), full_matrices=False)
+    rank = int(np.sum(s > tol * max(1.0, s[0])))
     return vh[:rank].reshape(rank, n, n)
 
 

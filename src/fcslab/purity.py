@@ -269,8 +269,7 @@ def purity_battery(sys: systems.KrausSystem, tol: float = 1e-9,
                               length_cutoff=gauge_cutoff, tol=max(tol, 1e-9))
 
     residuals.update({f"dual_{k}": v for k, v in p.dual.residuals.items()})
-    _, dchan_res = modular.dual_channel(p.md, p.dual)
-    residuals.update(dchan_res)
+    residuals["kms_duality"] = modular.kms_duality(p.md, p.dual)
 
     # Fix(dual) = J {s_k, s_k*}' J, s_k = J w_k J, by the lemma with J D J
     duals = p.dual.ops

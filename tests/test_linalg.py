@@ -119,6 +119,17 @@ class TestOperatorSubspace:
         eq, angle = linalg.subspace_equal(a, b)
         assert not eq and angle > 0.5
 
+    def test_orthonormalize_takes_a_stack_or_a_list(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+        x[4] = x[0] - 2j * x[1]  # rank 4
+        stacked = linalg.orthonormalize_matrices(x)
+        assert stacked.shape == (4, 3, 3)
+        assert np.array_equal(stacked, linalg.orthonormalize_matrices(list(x)))
+        rows = stacked.reshape(4, 9)
+        assert np.max(np.abs(np.conj(rows) @ rows.T - np.eye(4))) <= 1e-14
+        assert linalg.orthonormalize_matrices([]).shape == (0, 0, 0)
+
 
 # blocks of a block-diagonal matrix: (rows, cols, share of nonzero entries)
 _BLOCKS = st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6),
@@ -227,15 +238,20 @@ def _orthonormality(q):
     return float(np.max(np.abs(dag(q) @ q - np.eye(q.shape[1])), initial=0.0))
 
 
+def dense_range(h):
+    """:func:`linalg.psd_range` of a formed matrix."""
+    return linalg.psd_range(np.real(np.diagonal(h)), lambda j: h[:, j])
+
+
 class TestPsdRange:
     def test_rank_zero(self):
         for h in (np.zeros((6, 6)), 1e-12 * np.eye(6)):
-            q = linalg.psd_range(h)
+            q = dense_range(h)
             assert q.shape == (6, 0)
 
     def test_full_rank(self):
         x = random_matrix(7, 4)
-        q = linalg.psd_range(x @ dag(x) + np.eye(7))
+        q = dense_range(x @ dag(x) + np.eye(7))
         assert q.shape == (7, 7)
         assert _orthonormality(q) <= 1e-13
 
@@ -245,7 +261,7 @@ class TestPsdRange:
         # two decades, like the twirl's k / l; the angle any method can
         # reach is about eps * |h| / (smallest nonzero eigenvalue)
         d = np.logspace(-1, 1, 9)
-        q = linalg.psd_range((v * d) @ dag(v))
+        q = dense_range((v * d) @ dag(v))
         assert q.shape == (40, 9)
         assert _orthonormality(q) <= 1e-13
         # largest principal angle: the part of v outside span(q)
@@ -254,4 +270,21 @@ class TestPsdRange:
     @pytest.mark.parametrize("diag, rank", [
         ([1e3, 5e-7], 1), ([1e3, 2e-6], 2), ([0.5, 5e-10], 1), ([0.5, 2e-9], 2)])
     def test_cut_at_tol_times_max_of_one_and_the_diagonal(self, diag, rank):
-        assert linalg.psd_range(np.diag(diag)).shape == (2, rank)
+        assert dense_range(np.diag(diag)).shape == (2, rank)
+
+    def test_asks_only_for_the_pivot_columns(self):
+        # rank 20 in dimension 300: the factor buffer grows 8 -> 16 -> 32
+        # rows, and exactly the 20 pivot columns are formed
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(300, 20)) + 1j * rng.normal(size=(300, 20))
+        h = x @ dag(x)
+        asked = []
+
+        def column(j):
+            asked.append(j)
+            return h[:, j]
+
+        q = linalg.psd_range(np.real(np.diagonal(h)), column)
+        assert q.shape == (300, 20) and len(set(asked)) == len(asked) == 20
+        assert _orthonormality(q) <= 1e-13
+        assert np.linalg.norm(x - q @ (dag(q) @ x), 2) <= 1e-12 * np.linalg.norm(x, 2)

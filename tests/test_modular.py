@@ -87,6 +87,7 @@ def test_dual_word_vector_identity_spotcheck(aklt_pipeline):
 def test_dual_channel_duality(generic):
     super_mat, res = modular.dual_channel(generic.md, generic.dual)
     assert res["kms_duality"] < 1e-9
+    assert res["kms_duality"] == modular.kms_duality(generic.md, generic.dual)
     assert generic.dual.residuals["dual_unitality"] < 1e-10
     m = generic.md.gns_dim
     assert super_mat.shape == (m * m, m * m)
@@ -121,3 +122,5 @@ def test_kms_duality_matches_pairwise_loop(generic):
                                - np.vdot(ty @ omega, x @ omega)))
     assert ref > 1e-3
     assert abs(res["kms_duality"] - ref) <= 1e-12
+    with pytest.raises(modular.DualConstructionError):
+        modular.kms_duality(md, modular.DualSystem(ops=ops, residuals={}))

@@ -7,9 +7,14 @@ the stacked commutator superoperators ``b (x) 1 - 1 (x) b^T``, containment as
 ``1 - P_a`` and ``1 - P_b``, where P is the m^2 x m^2 orthogonal projector
 onto a subspace.  The commutant is also compared with the range of the twirl
 read off a full m^2 x m^2 eigh, the rank rule the package used before the
-pivoted Cholesky.  Their cost grows like m^6 in time and m^4 in memory, so
-they serve only as small-m oracles.
+pivoted Cholesky, and with the pivoted Cholesky of the formed twirl, which
+the package now runs on the twirl's diagonal and pivot columns only.  The
+generated algebra is compared with the closure under all pairwise products
+of a basis.  Their cost grows like m^6 in time and m^4 in memory, so they
+serve only as small-m oracles.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +27,8 @@ from fcslab.linalg import (
     KERNEL_TOL,
     OperatorSubspace,
     dag,
+    orthonormalize_matrices,
+    psd_range,
     sandwich_super,
     solve_linear_space,
     subspace_contains,
@@ -54,13 +61,24 @@ def eigh_commutant(space, tol=KERNEL_TOL):
     return OperatorSubspace(ambient_dim=space.ambient_dim, basis=u[:, keep].T)
 
 
+def twirl_commutant(space, tol=KERNEL_TOL):
+    """The pivoted Cholesky range of the formed m^2 x m^2 twirl."""
+    twirl = algebras.channel_super(space.basis)
+    return OperatorSubspace(
+        ambient_dim=space.ambient_dim,
+        basis=psd_range(np.real(np.diagonal(twirl)), lambda j: twirl[:, j],
+                        tol).T)
+
+
 def commutant_against_eigh(alg):
-    """The package's commutant, checked against :func:`eigh_commutant`:
-    equal dimension, largest angle at most 1e-12, orthonormal to 1e-13."""
-    comm, ref = algebras.commutant(alg), eigh_commutant(alg)
-    assert comm.dim == ref.dim
-    ok, angle = subspace_equal(comm, ref)
-    assert ok and angle <= 1e-12, angle
+    """The package's commutant, checked against :func:`eigh_commutant` and
+    :func:`twirl_commutant`: equal dimension, largest angle at most 1e-12,
+    orthonormal to 1e-13."""
+    comm = algebras.commutant(alg)
+    for ref in (eigh_commutant(alg), twirl_commutant(alg)):
+        assert comm.dim == ref.dim
+        ok, angle = subspace_equal(comm, ref)
+        assert ok and angle <= 1e-12, angle
     rows = comm.rows
     assert np.max(np.abs(rows @ dag(rows) - np.eye(comm.dim))) <= 1e-13
     return comm
@@ -231,3 +249,96 @@ def test_commutant_is_unitarily_covariant(blocks, seed):
                             basis=u @ algebras.commutant(alg).basis @ dag(u))
     ok, angle = subspace_equal(algebras.commutant(moved), want)
     assert ok and angle <= 1e-12, (blocks, angle)
+    commutant_against_eigh(moved)
+    assert algebras.commutant(moved).dim == reference_commutant(moved).dim
+
+
+def test_commutant_peak_memory():
+    # the twirl of A = M_8 (x) 1_8 on m = 64 has m^4 = 2^24 entries (256
+    # MiB); its diagonal, its r = 64 pivot columns and the 64 x 4096
+    # factor take a few MiB
+    alg = build_pipeline(fixtures.random_system(8, 2, 0)).can.algebra
+    assert (alg.ambient_dim, alg.dim) == (64, 64)
+    tracemalloc.start()
+    try:
+        comm = algebras.commutant(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert comm.dim == 64
+    assert peak <= 32 * 2**20, peak
+
+
+def pairwise_closure(gens, n, tol=KERNEL_TOL):
+    """The unital *-algebra generated by gens as the span of 1, gens, their
+    adjoints and all pairwise products of a basis, closed until the
+    dimension stops growing."""
+    basis = orthonormalize_matrices(
+        [np.eye(n), *gens, *(dag(np.asarray(g)) for g in gens)], tol=tol)
+    while True:
+        grown = orthonormalize_matrices(
+            [*basis, *(a @ b for a in basis for b in basis)], tol=tol)
+        if grown.shape[0] == basis.shape[0]:
+            return OperatorSubspace(ambient_dim=n, basis=grown)
+        basis = grown
+
+
+def closure_against_pairwise(gens, n):
+    alg = algebras.generated_algebra(gens, n)
+    ref = pairwise_closure(gens, n)
+    assert alg.dim == ref.dim
+    ok, angle = subspace_equal(alg, ref)
+    assert ok and angle <= 1e-12, angle
+    assert alg.is_star_closed()
+    return alg
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_closure_on_fixtures(name):
+    sys_ = fixtures.by_name(name)
+    closure_against_pairwise(list(sys_.ops), sys_.n)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_closure_on_block_sums(d):
+    sys_ = fixtures.block_sum(fixtures.random_system(3, d, 21),
+                              fixtures.random_system(3, d, 22))
+    alg = closure_against_pairwise(list(sys_.ops), 6)
+    assert alg.dim == 18
+
+
+@pytest.mark.parametrize("blocks, seed", NON_STANDARD.values(),
+                         ids=NON_STANDARD.keys())
+def test_closure_of_rotated_block_algebras(blocks, seed):
+    # two random elements of (+)_i M_{k_i} (x) 1_{l_i} generate all of it
+    alg = block_algebra(blocks, seed)
+    rng = np.random.default_rng(0 if seed is None else seed)
+    gens = [np.einsum("b,bij->ij", rng.normal(size=alg.dim)
+                      + 1j * rng.normal(size=alg.dim), alg.basis)
+            for _ in range(2)]
+    got = closure_against_pairwise(gens, alg.ambient_dim)
+    assert subspace_equal(got, alg)[0]
+
+
+def test_closure_of_a_jordan_block():
+    # the shift J of C^5 and J* generate M_5, one word length at a time
+    jordan = np.diag(np.ones(4), 1)
+    assert closure_against_pairwise([jordan], 5).dim == 25
+    # J alone with J* inside the upper 3 x 3 corner: M_3 (+) C 1_2
+    corner = np.zeros((5, 5))
+    corner[:3, :3] = np.diag(np.ones(2), 1)
+    assert closure_against_pairwise([corner], 5).dim == 10
+
+
+def test_closure_returns_at_full_dimension(monkeypatch):
+    # 1, E_00, E_01, E_10 span M_2: no product round is run
+    calls = []
+
+    def counted(mats, tol=KERNEL_TOL):
+        calls.append(len(mats))
+        return orthonormalize_matrices(mats, tol=tol)
+
+    monkeypatch.setattr(algebras, "orthonormalize_matrices", counted)
+    units = [np.eye(2)[:, [i]] @ np.eye(2)[[j]] for i, j in ((0, 0), (0, 1), (1, 0))]
+    assert closure_against_pairwise(units, 2).dim == 4
+    assert calls == [7]
