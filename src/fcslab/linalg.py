@@ -21,7 +21,11 @@ preserves Hermiticity, so its matrix in the frame is real
 spectrum and the singular values of the map's complex matrix on vec(x).
 Its eigenvalues and the kernel of its difference with 1
 (:func:`solve_linear_space` with ``frame=True``) come from real LAPACK
-routines.
+routines.  Every kernel read off an SVD here, and the right and left kernels
+of ``T_* - 1`` from which :func:`fcslab.systems.invariant_states` builds the
+Cesaro projection, are cut by one rule (:func:`kernel_rank`).  Dense LAPACK
+goes through NumPy only: SciPy's wheels ship a second OpenBLAS with its own
+thread pool, and the two pools contend on a small host.
 
 The range of a Hermitian positive semidefinite matrix of rank r is read off
 a pivoted Cholesky factorization (:func:`psd_range`): r steps of O(N r)
@@ -428,6 +432,13 @@ def outside_component(cols: np.ndarray, space: OperatorSubspace) -> np.ndarray:
     return cols - b.T @ (np.conj(b) @ cols)
 
 
+def kernel_rank(s: np.ndarray, tol: float = KERNEL_TOL) -> int:
+    """Numerical rank from descending singular values ``s``: those above
+    ``tol * max(1, s[0])`` count, the rest span the kernel."""
+    smax = max(1.0, float(s[0]) if s.size else 1.0)
+    return int(np.sum(s > tol * smax))
+
+
 def solve_linear_space(constraints, ambient_dim: int,
                        tol: float = KERNEL_TOL,
                        frame: bool = False) -> OperatorSubspace:
@@ -448,8 +459,7 @@ def solve_linear_space(constraints, ambient_dim: int,
     # the stack has at least n^2 rows, so the reduced decomposition still
     # carries the full right-singular basis needed for the kernel
     _, s, vh = np.linalg.svd(stacked, full_matrices=False)
-    smax = max(1.0, float(s[0]) if s.size else 1.0)
-    rank = int(np.sum(s > tol * smax))
+    rank = kernel_rank(s, tol)
     kernel = from_frame(vh[rank:], ambient_dim) if frame else vh[rank:].conj()
     return OperatorSubspace(ambient_dim=ambient_dim, basis=kernel)
 
@@ -489,6 +499,6 @@ def subspace_intersection(a: OperatorSubspace, b: OperatorSubspace,
         return a
     _, s, vh = np.linalg.svd(outside_component(a.rows.T, b),
                              full_matrices=False)
-    rank = int(np.sum(s > tol * max(1.0, float(s[0]))))
+    rank = kernel_rank(s, tol)
     coeffs = vh[rank:].conj()
     return OperatorSubspace(ambient_dim=a.ambient_dim, basis=coeffs @ a.rows)

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from itertools import product as _iproduct
 
 import numpy as np
-import scipy.linalg
 
 from . import algebras
 from .linalg import (
@@ -33,8 +32,8 @@ from .linalg import (
     frame_super,
     from_frame,
     herm_eig,
+    kernel_rank,
     pos_power,
-    solve_linear_space,
     to_frame,
 )
 
@@ -154,39 +153,37 @@ class InvariantSearch:
     extreme_states: tuple  # tuple of InvariantState
 
 
-def _peripheral_projection(super_mat: np.ndarray, x: np.ndarray,
-                           tol: float = 1e-8) -> np.ndarray:
-    """Oblique spectral projection of the vector x onto the eigenvalue-1
-    cluster of super_mat."""
-    w, vl, vr = scipy.linalg.eig(super_mat, left=True, right=True)
-    idx = np.abs(w - 1.0) <= tol
-    if not idx.any():
-        raise ValidationError("channel has no fixed point (eigenvalue 1 missing)")
-    r1 = vr[:, idx]
-    l1 = vl[:, idx]
-    overlap = dag(l1) @ r1
-    return r1 @ np.linalg.solve(overlap, dag(l1) @ x)
-
-
 def invariant_states(sys: KrausSystem, tol: float = DEFAULT_TOL) -> InvariantSearch:
-    """Invariant densities of the predual channel.
+    """Invariant densities of the predual channel, from one real SVD.
 
-    The multiplicity is the dimension of the fixed space of the predual.
-    The mean state is the ergodic (Cesaro) image of the maximally mixed
-    state; it is invariant and has maximal support among invariant
-    densities, which makes it the right input for support compression.
-    Extreme states are extracted heuristically by diagonalizing a generic
-    element of the fixed space.  Both decompositions run on the real
-    Hermitian-frame matrix of the predual.
+    The SVD of ``T_* - 1`` (real, in Hermitian-frame coordinates) is cut at
+    :func:`fcslab.linalg.kernel_rank`.  Its right kernel R (Hermitian fixed
+    points) gives the multiplicity; with its left kernel L, the mean state is
+    the Cesaro image ``R (L^T R)^{-1} L^T`` of the maximally mixed state.  For
+    a channel the eigenvalue 1 is semisimple (Fannes, Nachtergaele & Werner,
+    CMP 144, 1992), so the Cesaro mean is this oblique projection onto the
+    fixed space along the range of ``T_* - 1``, and ``L^T R`` is invertible;
+    a singular or ill-conditioned ``L^T R`` means a Jordan block at 1, which
+    no channel has, and is refused.  The mean state is invariant and has
+    maximal support among invariant densities, which makes it the right input
+    for support compression.  Extreme states are extracted heuristically by
+    diagonalizing a generic element of the fixed space.
     """
     n = sys.n
-    pre = sys.predual_super()
-    fixed = solve_linear_space([pre - np.eye(n * n)], n, tol=tol,
-                               frame=True).basis  # Hermitian
-    multiplicity = fixed.shape[0]
-
-    coords = _peripheral_projection(pre, to_frame(np.eye(n) / n))
-    rho_bar = from_frame(coords.real, n)
+    u, s, vh = np.linalg.svd(sys.predual_super() - np.eye(n * n))
+    rank = kernel_rank(s, tol)
+    multiplicity = n * n - rank
+    if multiplicity == 0:
+        raise ValidationError("channel has no fixed point (eigenvalue 1 missing)")
+    right, left = vh[rank:].T, u[:, rank:]
+    overlap = left.T @ right  # cosines of the angles between the kernels
+    sigma_min = float(np.linalg.svd(overlap, compute_uv=False)[-1])
+    if sigma_min <= tol:
+        raise ValidationError(
+            f"eigenvalue 1 of the predual is not semisimple "
+            f"(sigma_min(L^T R) = {sigma_min:.3e}); the family is not a channel")
+    coords = right @ np.linalg.solve(overlap, left.T @ to_frame(np.eye(n) / n))
+    rho_bar = from_frame(coords, n)
     rho_bar = rho_bar / np.trace(rho_bar).real
     mean = InvariantState(rho_bar)
     mean.check(sys, tol=max(tol, 1e-10))
@@ -194,7 +191,7 @@ def invariant_states(sys: KrausSystem, tol: float = DEFAULT_TOL) -> InvariantSea
     if multiplicity == 1:
         extremes = (mean,)
     else:
-        extremes = _extreme_states(sys, fixed, rho_bar, tol)
+        extremes = _extreme_states(sys, from_frame(vh[rank:], n), rho_bar, tol)
     return InvariantSearch(multiplicity=multiplicity, mean_state=mean,
                            extreme_states=extremes)
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -9,6 +12,27 @@ from fcslab import cli, modular, serialize, fixtures, systems
 
 def run(argv):
     return cli.main(argv)
+
+
+# The same one-liner is a CI step: dense LAPACK goes through NumPy only, so
+# SciPy is loaded only by the two-sided check (scipy.sparse).
+NO_SCIPY_SCRIPT = (
+    "import sys, fcslab.cli as cli; "
+    "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')[:5]; "
+    "imported = scipy(); "
+    "code = cli.main(['analyze', 'fixture:aklt', '--no-amalgam', '-o', sys.argv[1]]); "
+    "sys.exit(code or imported or scipy() or 0)")
+
+
+def test_cli_without_two_sided_check_loads_no_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path / "r.json")],
+        capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert json.loads((tmp_path / "r.json").read_text())["is_pure"] is True
 
 
 def test_analyze_fixture_ok(tmp_path, capsys):

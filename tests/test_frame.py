@@ -14,6 +14,7 @@ import pytest
 import scipy.linalg
 
 from conftest import RANDOM_CASES, build_pipeline
+from test_cli import _amplitude_damping
 from fcslab import algebras, fixtures, modular, purity, systems
 from fcslab.linalg import (
     as_complex,
@@ -33,6 +34,15 @@ CASES = [(name, fixtures.by_name(name)) for name in FIXTURES] + [
     (f"seed {seed} ({n},{d})", fixtures.random_system(n, d, seed))
     for seed, n, d in RANDOM_CASES]
 IDS = [label for label, _ in CASES]
+# invariant states also on block sums, larger n and the amplitude-damping sweep
+INVARIANT_CASES = CASES + [
+    (f"3+3 d={d}", fixtures.block_sum(fixtures.random_system(3, d, 21),
+                                      fixtures.random_system(3, d, 22)))
+    for d in (2, 3)] + [
+    (f"n={n} seed {seed}", fixtures.random_system(n, 2, seed))
+    for n in (3, 8, 16) for seed in (0, 2)] + [
+    (f"amplitude damping {eps:g}", _amplitude_damping(eps))
+    for eps in (1e-2, 1e-4, 1e-6, 1e-8, 1e-11)]
 
 # Verdicts (pure, ergodic, factor, multiplicity, strongly mixing, gauge
 # group, extreme states) of the fixtures, as the vec-basis battery reported
@@ -53,9 +63,10 @@ def sort_spectrum(w):
     return w[np.lexsort((np.round(np.angle(w), 12), -np.round(np.abs(w), 12)))]
 
 
-def reference_mean_state(sys_):
-    """Cesaro image of 1/n by the eigenvalue-1 projection of the vec-basis
-    predual."""
+def reference_search(sys_):
+    """(size of the eigenvalue-1 cluster, Cesaro image of 1/n) by the
+    left/right eigenvectors of the vec-basis predual for the eigenvalues
+    within 1e-8 of 1."""
     n = sys_.n
     pre = algebras.channel_super(dag(sys_.ops))
     w, vl, vr = scipy.linalg.eig(pre, left=True, right=True)
@@ -63,7 +74,7 @@ def reference_mean_state(sys_):
     r1, l1 = vr[:, idx], vl[:, idx]
     rho = unvec(r1 @ np.linalg.solve(dag(l1) @ r1, dag(l1) @ vec(np.eye(n) / n)), n)
     rho = (rho + dag(rho)) / 2
-    return rho / np.trace(rho).real
+    return int(idx.sum()), rho / np.trace(rho).real
 
 
 def reference_fixed_space(kraus, n):
@@ -157,12 +168,14 @@ def test_spectrum_matches_vec_basis_eigenvalues(label, sys_):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-@pytest.mark.parametrize("label, sys_", CASES, ids=IDS)
+@pytest.mark.parametrize("label, sys_", INVARIANT_CASES,
+                         ids=[label for label, _ in INVARIANT_CASES])
 def test_invariant_states_match_vec_basis_reference(label, sys_):
     search = systems.invariant_states(sys_)
     ref_fixed = reference_fixed_space(dag(sys_.ops), sys_.n)
-    assert search.multiplicity == ref_fixed.dim
-    assert np.max(np.abs(search.mean_state.rho - reference_mean_state(sys_))) <= 1e-12
+    cluster, ref_rho = reference_search(sys_)
+    assert search.multiplicity == ref_fixed.dim == cluster
+    assert np.max(np.abs(search.mean_state.rho - ref_rho)) <= 1e-12
     fixed = frame_fixed_space(sys_.predual_super(), sys_.n)
     assert np.array_equal(fixed.basis, dag(fixed.basis))
     assert subspace_equal(fixed, ref_fixed)[0]

@@ -25,6 +25,20 @@ def test_random_system_is_normalized():
     assert systems.validate(sys_).unit_residual < 1e-12
 
 
+def _predual(sys_, rho):
+    return sum(dag(v) @ rho @ v for v in sys_.ops)
+
+
+def _cyclic_one_plus_two():
+    """Period 2 between the classes span{e_0} and span{e_1, e_2}: the
+    maximally mixed state is not invariant, and its iterates alternate
+    between two distinct diagonal densities from the first step on."""
+    e = np.eye(3)
+    return systems.KrausSystem(np.stack([
+        np.sqrt(1 / 3) * np.outer(e[0], e[1]), np.sqrt(2 / 3) * np.outer(e[0], e[2]),
+        np.outer(e[1], e[0]), np.outer(e[2], e[0])]))
+
+
 class TestInvariantStates:
     def test_aklt_unique_maximally_mixed(self):
         search = systems.invariant_states(fixtures.aklt())
@@ -46,6 +60,40 @@ class TestInvariantStates:
         assert search.multiplicity == 2
         evals = np.linalg.eigvalsh(search.mean_state.rho)
         assert evals.min() > 1e-6
+
+    @pytest.mark.parametrize("make", [fixtures.period_two, _cyclic_one_plus_two],
+                             ids=["period-two", "cyclic-1+2"])
+    def test_mean_is_the_average_over_one_period(self, make):
+        sys_ = make()
+        assert systems.validate(sys_).ok
+        spectrum = np.linalg.eigvals(sys_.predual_super())
+        peripheral = np.sort(spectrum[np.abs(np.abs(spectrum) - 1) <= 1e-8].real)
+        assert np.allclose(peripheral, [-1.0, 1.0], atol=1e-12)
+        rho = np.eye(sys_.n, dtype=complex) / sys_.n
+        for _ in range(4 * sys_.n ** 2):  # the non-peripheral part dies out
+            rho = _predual(sys_, rho)
+        average = (rho + _predual(sys_, rho)) / 2
+        mean = systems.invariant_states(sys_).mean_state.rho
+        assert np.max(np.abs(average - mean)) <= 1e-12
+
+    def test_cyclic_mean_is_not_one_iterate(self):
+        # on period-two 1/n is invariant; here the period average carries
+        # the check above
+        sys_ = _cyclic_one_plus_two()
+        mean = systems.invariant_states(sys_).mean_state.rho
+        assert np.allclose(mean, np.diag([1 / 2, 1 / 6, 1 / 3]), atol=1e-12)
+        assert np.max(np.abs(_predual(sys_, np.eye(3) / 3) - mean)) > 0.1
+
+    @pytest.mark.parametrize("ops, message", [
+        # a Jordan block at 1: the left and right kernels are orthogonal
+        ([[[1.0, 1.0], [0.0, 1.0]]], r"not semisimple \(sigma_min\(L\^T R\) = "),
+        ([0.5 * np.eye(2)], "no fixed point"),
+        ([[[0.0, 1.0], [0.0, 0.0]]], "no fixed point"),
+    ], ids=["jordan-block", "half-identity", "nilpotent"])
+    def test_families_without_a_cesaro_mean_are_refused(self, ops, message):
+        sys_ = systems.KrausSystem(np.array(ops, dtype=complex))
+        with pytest.raises(systems.ValidationError, match=message):
+            systems.invariant_states(sys_)
 
 
 class TestCompression:
