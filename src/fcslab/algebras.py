@@ -100,9 +100,15 @@ def commutant(space: OperatorSubspace,
         basis=psd_range(np.real(d @ np.conj(d.T)).reshape(-1), column, tol).T)
 
 
-def center_and_factor(space: OperatorSubspace):
-    """Center of a *-closed algebra and whether it is a factor."""
-    center = subspace_intersection(space, commutant(space))
+def center_and_factor(space: OperatorSubspace, commutant: OperatorSubspace):
+    """Center, the intersection of A and A', of a *-closed algebra A, and
+    whether A is a factor.
+
+    The commutant A' is passed in (see :func:`commutant`), so a caller that
+    already holds it, as :class:`fcslab.systems.CanonicalSystem` does, does
+    not compute it again.
+    """
+    center = subspace_intersection(space, commutant)
     return center, center.dim == 1
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import algebras
 from .linalg import (
     DEFAULT_TOL,
     AntilinearOp,
@@ -36,11 +35,20 @@ class DualConstructionError(ModularError):
 
 @dataclass(frozen=True)
 class ModularData:
+    """Tomita data of a canonical system: S, Delta = S* S and J = S
+    Delta^{-1/2}.  ``d_half`` and ``d_minus_half`` are the powers
+    Delta^{1/2} and Delta^{-1/2} that :func:`modular_data` takes once to
+    build J and check the polar decomposition; the analytic continuation
+    sigma_{i/2} behind the duals reads them instead of diagonalizing Delta
+    again."""
+
     can: CanonicalSystem
     s: AntilinearOp = field(repr=False)
     delta: np.ndarray = field(repr=False)
     j: AntilinearOp = field(repr=False)
     residuals: dict = field(repr=False)
+    d_half: np.ndarray = field(repr=False)
+    d_minus_half: np.ndarray = field(repr=False)
 
     @property
     def gns_dim(self) -> int:
@@ -88,7 +96,8 @@ def modular_data(can: CanonicalSystem, tol: float = DEFAULT_TOL) -> ModularData:
     bad = {k: v for k, v in residuals.items() if v > max(tol, 1e-9) * 10}
     if bad:
         raise ModularError(f"modular identities failed: {bad}")
-    return ModularData(can=can, s=s, delta=delta, j=j, residuals=residuals)
+    return ModularData(can=can, s=s, delta=delta, j=j, residuals=residuals,
+                       d_half=d_half, d_minus_half=d_minus_half)
 
 
 def sigma(md: ModularData, x: np.ndarray, z: complex,
@@ -107,7 +116,7 @@ def sigma(md: ModularData, x: np.ndarray, z: complex,
 
 def _sigma_i_half(md: ModularData, x: np.ndarray) -> np.ndarray:
     """Analytic continuation sigma_{i/2}(x) = Delta^{-1/2} x Delta^{1/2}."""
-    return pos_power(md.delta, -0.5) @ as_complex(x) @ pos_power(md.delta, 0.5)
+    return md.d_minus_half @ as_complex(x) @ md.d_half
 
 
 @dataclass(frozen=True)
@@ -180,6 +189,8 @@ def kms_duality(md: ModularData, dual: DualSystem,
     <tau~(y) Omega, x Omega>, tau(x) = sum_k pi(v_k) x pi(v_k)* and
     tau~(y) = sum_k w_k y w_k*, over all basis pairs x in the algebra, y in
     its commutant: the largest entry of the difference of two Gram matrices.
+    The commutant is the one the canonical system carries
+    (:attr:`fcslab.systems.CanonicalSystem.commutant`).
 
     A residual above ``10 * max(tol, 1e-9)`` raises
     :class:`DualConstructionError`.
@@ -187,7 +198,7 @@ def kms_duality(md: ModularData, dual: DualSystem,
     duals = dual.ops
     omega = md.omega
     xs = md.can.algebra.basis
-    ys = algebras.commutant(md.can.algebra).basis
+    ys = md.can.commutant.basis
     tx = sum(a @ xs @ dag(a) for a in md.pi_ops)
     ty = sum(w @ ys @ dag(w) for w in duals)
     lhs = np.conj(ys @ omega) @ (tx @ omega).T

@@ -58,7 +58,15 @@ def pipeline(sys: systems.KrausSystem, tol: float = 1e-9) -> Pipeline:
     search = systems.invariant_states(sys, tol=tol)
     comp_sys, comp_state, _ = systems.compress_to_support(
         sys, search.mean_state, tol=tol)
-    can = systems.canonicalize(comp_sys, comp_state, tol=tol)
+    # the state is faithful on the compressed system by construction, so a
+    # Gram matrix that canonicalize refuses as singular is the pipeline's
+    # own support cut disagreeing with that refusal, not a fault of the input
+    try:
+        can = systems.canonicalize(comp_sys, comp_state, tol=tol)
+    except systems.ValidationError as exc:
+        raise InternalConsistencyError(
+            f"canonicalize refused the pipeline's own support compression: "
+            f"{exc}") from None
     md = modular.modular_data(can, tol=tol)
     dual = modular.dual_system(md, tol=tol)
     return Pipeline(diagnostics=diag, search=search, comp_sys=comp_sys,
@@ -101,7 +109,7 @@ def ergodicity(can: systems.CanonicalSystem,
     fixed_dim = int(np.sum(np.abs(w - 1.0) <= tol))
     simple = fixed_dim == 1
 
-    center, is_factor = algebras.center_and_factor(can.algebra)
+    center, is_factor = algebras.center_and_factor(can.algebra, can.commutant)
     if simple != is_factor:
         raise InternalConsistencyError(
             f"ergodicity test (fixed dim {fixed_dim}) disagrees with factor "
@@ -124,7 +132,11 @@ def kolmogorov_proxy(sys: systems.KrausSystem, tol: float = 1e-8) -> MixingResul
     It is a proxy only: spectral mixing is reported separately from purity
     and the two are never conflated.
     """
-    spec = channel_spectrum(sys)
+    return _mixing(channel_spectrum(sys), tol)
+
+
+def _mixing(spec, tol: float = 1e-8) -> MixingResult:
+    """:func:`kolmogorov_proxy` read off a :func:`channel_spectrum`."""
     mods = np.sort(np.abs(spec))[::-1]
     peripheral = peripheral_eigenvalues(spec, tol=tol)
     gap = float(1.0 - (mods[1] if mods.size > 1 else 0.0))
@@ -244,14 +256,14 @@ def purity_battery(sys: systems.KrausSystem, tol: float = 1e-9,
     residuals: dict = {"unitality": p.diagnostics.unit_residual}
     multiplicity = p.search.multiplicity
     spectrum = channel_spectrum(sys)
-    mixing = kolmogorov_proxy(sys)
+    mixing = _mixing(spectrum)
 
     erg = ergodicity(can, tol=subspace_tol)
 
     m = can.gns_dim
     # in standard form dim A' = dim A: a rank cut of the twirl that drops
     # part of A' leaves the rest fixed, and only the dimension shows it
-    comm = algebras.commutant(can.algebra)
+    comm = can.commutant
     density = can.represent(p.comp_state.rho)
     residuals["support_density_invariance"] = _lemma(
         can.pi_ops, density, tol, subspace_tol)

@@ -261,8 +261,12 @@ class CanonicalSystem:
 
     ``basis_mats`` are the GNS orthonormal basis elements as matrices on the
     original space, ``pi_ops`` the images of the Kraus family, ``omega`` the
-    cyclic vector (class of the identity), and ``algebra`` the image of the
-    generated algebra inside the GNS matrix space.
+    cyclic vector (class of the identity), ``algebra`` the image of the
+    generated algebra inside the GNS matrix space, and ``commutant`` its
+    commutant A', computed once here for every check that reads it (the
+    center, the support identity Fix(tau_pi) = A' and KMS duality).  A' is
+    taken from the algebra alone, independently of the modular conjugation J,
+    so ``dim A' == dim A`` stays a check that standard form holds.
     """
 
     base: KrausSystem
@@ -271,6 +275,7 @@ class CanonicalSystem:
     omega: np.ndarray = field(repr=False)  # (m,)
     algebra: OperatorSubspace = field(repr=False)
     basis_mats: np.ndarray = field(repr=False)  # (m, n, n)
+    commutant: OperatorSubspace = field(repr=False)
 
     @property
     def gns_dim(self) -> int:
@@ -327,6 +332,7 @@ def canonicalize(sys: KrausSystem, state: InvariantState,
     return CanonicalSystem(
         base=sys, state=state, pi_ops=_represent(rho, c, sys.ops),
         omega=_coordinates(rho, c, np.eye(n)), algebra=algebra, basis_mats=c,
+        commutant=algebras.commutant(algebra),
     )
 
 

@@ -42,7 +42,8 @@ def test_center_detects_direct_sum():
     e01[0, 1] = 1.0
     alg = algebras.generated_algebra([e01], 3)
     assert alg.dim == 5
-    center, is_factor = algebras.center_and_factor(alg)
+    center, is_factor = algebras.center_and_factor(
+        alg, algebras.commutant(alg))
     assert not is_factor
     assert center.dim == 2
 
@@ -56,7 +57,8 @@ def test_abelian_generators_close_without_growing():
     x[1, 0] = 1.0
     alg = algebras.generated_algebra([p, x], 3)
     assert alg.dim == 3
-    center, is_factor = algebras.center_and_factor(alg)
+    center, is_factor = algebras.center_and_factor(
+        alg, algebras.commutant(alg))
     assert not is_factor
     assert center.dim == 3
 

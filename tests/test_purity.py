@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcslab import fixtures, purity
+from fcslab import algebras, fixtures, purity
 from fcslab.systems import KrausSystem
 
 
@@ -73,6 +73,28 @@ class TestBattery:
     def test_indirect_certification_note_present(self):
         rep = purity.purity_battery(fixtures.aklt())
         assert any("finite-dimensional" in note for note in rep.notes)
+
+    @pytest.mark.parametrize("name", ["aklt", "3+3"])
+    def test_commutant_and_transfer_spectrum_computed_once(self, name,
+                                                            monkeypatch):
+        # A' is shared by the center, the support identity and KMS duality,
+        # and the mixing proxy is read off the reported spectrum
+        sys_ = fixtures.aklt() if name == "aklt" else fixtures.block_sum(
+            fixtures.random_system(3, 2, 21), fixtures.random_system(3, 2, 22))
+        calls = {"commutant": 0, "transfer_super": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(algebras, "commutant",
+                            counted("commutant", algebras.commutant))
+        monkeypatch.setattr(KrausSystem, "transfer_super",
+                            counted("transfer_super", KrausSystem.transfer_super))
+        purity.purity_battery(sys_)
+        assert calls == {"commutant": 1, "transfer_super": 1}
 
     def test_validation_error_on_bad_system(self):
         bad = KrausSystem(np.stack([np.eye(2, dtype=complex),

@@ -112,7 +112,7 @@ def compare(alg, others=()):
     comm = commutant_against_eigh(alg)
     ref_comm = reference_commutant(alg)
     assert comm.dim == ref_comm.dim
-    center, is_factor = algebras.center_and_factor(alg)
+    center, is_factor = algebras.center_and_factor(alg, comm)
     ref_center = reference_intersection(alg, ref_comm)
     assert center.dim == ref_center.dim
     assert is_factor == (ref_center.dim == 1)
@@ -158,7 +158,8 @@ def test_block_sum():
     assert p.can.gns_dim == 18
     angle, diff = compare(p.can.algebra, fixed_spaces(p))
     assert angle <= 1e-12 and diff <= 1e-12, (angle, diff)
-    assert algebras.center_and_factor(p.can.algebra)[0].dim == 2
+    assert algebras.center_and_factor(
+        p.can.algebra, p.can.commutant)[0].dim == 2
 
 
 def _unit(n, i, j):
@@ -228,8 +229,9 @@ def test_non_standard_form(blocks, seed):
 
     angle, diff = compare(alg)
     assert angle <= 1e-12 and diff <= 1e-12, (angle, diff)
-    assert algebras.commutant(alg).dim == comm_dim
-    assert algebras.center_and_factor(alg)[0].dim == len(blocks)
+    comm = algebras.commutant(alg)
+    assert comm.dim == comm_dim
+    assert algebras.center_and_factor(alg, comm)[0].dim == len(blocks)
 
 
 _SHAPES = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
