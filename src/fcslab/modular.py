@@ -10,6 +10,7 @@ numerically; a failed identity aborts the construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,8 @@ from .linalg import (
     frame_super,
     pos_power,
 )
-from .systems import CanonicalSystem, word_operators
+from .systems import (CanonicalSystem, check_budget, log2_word_count,
+                      word_count)
 
 
 class ModularError(RuntimeError):
@@ -125,6 +127,45 @@ class DualSystem:
     residuals: dict = field(repr=False)
 
 
+def word_vectors(ops: np.ndarray, omega: np.ndarray, max_len: int,
+                 prepend: bool = False) -> np.ndarray:
+    """(W, m) stack of the vectors x_{i_k}* ... x_{i_1}* Omega of all words I
+    up to max_len, in :func:`fcslab.systems.words` order, or with
+    ``prepend=True`` of x_{i_1}* ... x_{i_k}* Omega.
+
+    Each word length is one matrix product over the d letters, written into
+    its slice of the preallocated stack.  Appending the letter j to I
+    applies x_j* last, at ``value(I) d + j`` within the new length;
+    prepending it applies x_j* last as well, at ``j d^k + value(I)``.  So
+    the forward word vectors pi(v)_I* Omega are
+    ``word_vectors(pi_ops, omega, L)`` and the reversed dual ones
+    w_{rev I}* Omega are ``word_vectors(duals, omega, L, prepend=True)``.
+    """
+    d, m = ops.shape[0], ops.shape[1]
+    # rows are vectors, so x_j* acts on the right, as conj(x_j)
+    right = np.conj(ops)
+    if not prepend:
+        right = right.transpose(1, 0, 2).reshape(m, d * m)
+    out = np.empty((word_count(d, max_len), m), dtype=np.complex128)
+    out[0] = omega
+    lo, hi = 0, 1
+    for _ in range(max_len):
+        size = d * (hi - lo)
+        shape = (d, hi - lo, m) if prepend else (hi - lo, d * m)
+        np.matmul(out[lo:hi], right, out=out[hi:hi + size].reshape(shape))
+        lo, hi = hi, hi + size
+    return out
+
+
+def log2_dual_bytes(d: int, m: int, max_len: int) -> float:
+    """log2 of the bytes :func:`dual_diagnostics` holds at once over words
+    up to max_len: two W x W moment Grams and four W x m word-vector arrays
+    (the two stacks and the conjugates taken for the Grams), 16 bytes per
+    entry."""
+    w = log2_word_count(d, max_len)
+    return 5 + w + float(np.logaddexp2(w, 1 + math.log2(m)))
+
+
 def dual_diagnostics(md: ModularData, duals: np.ndarray, word_len: int = 3,
                      moment_len: int = 4) -> dict:
     """Residuals of the identities a candidate dual family must satisfy.
@@ -135,9 +176,20 @@ def dual_diagnostics(md: ModularData, duals: np.ndarray, word_len: int = 3,
       (iii) w_I* Omega = pi(v)_{reversed I}* Omega for |I| <= word_len,
       (iv)  moment duality <Omega, pi(v)_I pi(v)_J* Omega> =
             <Omega, w_{rev I} w_{rev J}* Omega> for |I|, |J| <= moment_len.
+
+    (iii) and (iv) read the word vectors pi(v)_I* Omega and
+    w_{rev I}* Omega (:func:`word_vectors`), never the word operators.
+    Word data over the memory budget (:func:`log2_dual_bytes`) is refused
+    by :class:`fcslab.systems.TruncationError` before any of it is built.
     """
     pi_ops = md.pi_ops
-    m = md.gns_dim
+    d, m = pi_ops.shape[0], md.gns_dim
+    max_len = max(word_len, moment_len)
+    log_w = log2_word_count(d, max_len)
+    check_budget(log2_dual_bytes(d, m, max_len),
+                 f"the moment-duality check over words of length <= {max_len}",
+                 "two {} x {} moment Grams and four {} x {} word-vector "
+                 "arrays", log_w, log_w, log_w, math.log2(m))
     residuals = {}
     b = md.can.algebra.basis
     residuals["commutant_membership"] = float(np.max(np.linalg.norm(
@@ -146,25 +198,17 @@ def dual_diagnostics(md: ModularData, duals: np.ndarray, word_len: int = 3,
         sum(w @ dag(w) for w in duals) - np.eye(m)
     ))
 
-    omega = md.omega
-    max_len = max(word_len, moment_len)
-    vtab = word_operators(pi_ops, max_len)
-    wtab = word_operators(duals, max_len)
+    a_vecs = word_vectors(pi_ops, md.omega, max_len)  # pi(v)_I* Omega
+    b_vecs = word_vectors(duals, md.omega, max_len, prepend=True)
+    nonempty = slice(1, word_count(d, word_len))
+    residuals["dual_word_vectors"] = float(np.max(np.linalg.norm(
+        a_vecs[nonempty] - b_vecs[nonempty], axis=1), initial=0.0))
 
-    res_words = 0.0
-    for word, wop in wtab.items():
-        if 1 <= len(word) <= word_len:
-            lhs = dag(wop) @ omega
-            rhs = dag(vtab[word[::-1]]) @ omega
-            res_words = max(res_words, float(np.linalg.norm(lhs - rhs)))
-    residuals["dual_word_vectors"] = res_words
-
-    ws = [w for w in vtab if len(w) <= moment_len]
-    a_vecs = np.stack([dag(vtab[w]) @ omega for w in ws])
-    b_vecs = np.stack([dag(wtab[w[::-1]]) @ omega for w in ws])
-    lhs = np.conj(a_vecs) @ a_vecs.T  # <Omega, V_I V_J* Omega>
-    rhs = np.conj(b_vecs) @ b_vecs.T
-    residuals["moment_duality"] = float(np.max(np.abs(lhs - rhs)))
+    moments = slice(0, word_count(d, moment_len))
+    a_vecs, b_vecs = a_vecs[moments], b_vecs[moments]
+    gram = np.conj(a_vecs) @ a_vecs.T  # <Omega, V_I V_J* Omega>
+    gram -= np.conj(b_vecs) @ b_vecs.T
+    residuals["moment_duality"] = float(np.max(np.abs(gram)))
     return residuals
 
 

@@ -340,7 +340,14 @@ def canonicalize(sys: KrausSystem, state: InvariantState,
 # Word moments
 
 def words(d: int, max_len: int, min_len: int = 0):
-    """All words over {0..d-1} with min_len <= length <= max_len."""
+    """All words over {0..d-1} with min_len <= length <= max_len.
+
+    Words are ordered by length, then as base-d numerals with the last letter
+    fastest: a word I of length k sits at ``word_count(d, k - 1) + value(I)``,
+    and the words I + (j,) of length k + 1 at ``value(I) d + j`` within their
+    length, (j,) + I at ``j d^k + value(I)``.  Every word table of this
+    module and of :mod:`fcslab.modular` is a stack in this order.
+    """
     out = []
     for length in range(min_len, max_len + 1):
         out.extend(_iproduct(range(d), repeat=length))
@@ -360,22 +367,45 @@ def log2_word_count(d: int, max_len: int) -> float:
             + math.log2(1 - float(d) ** -(max_len + 1)))
 
 
-def word_operator(ops, word) -> np.ndarray:
-    """Forward product v_{i_1} ... v_{i_m}; empty word gives the identity."""
+def word_stack(ops, max_len: int, reverse: bool = False) -> np.ndarray:
+    """(W, n, n) stack of the products v_I of all words up to max_len, in
+    :func:`words` order: forward ``v_{i_1} ... v_{i_k}``, or reversed
+    ``v_{i_k} ... v_{i_1}`` with ``reverse=True``.
+
+    Each word length is one broadcast product with the previous one, written
+    into its slice of the preallocated stack: I + (j,) is v_I v_j forward
+    and v_j v_I reversed.
+    """
     ops = as_complex(ops)
-    m = np.eye(ops.shape[1], dtype=np.complex128)
-    for k in word:
-        m = m @ ops[k]
-    return m
+    d, n = ops.shape[0], ops.shape[1]
+    stack = np.empty((word_count(d, max_len), n, n), dtype=np.complex128)
+    stack[0] = np.eye(n)
+    lo, hi = 0, 1
+    for _ in range(max_len):
+        prev, size = stack[lo:hi, None], d * (hi - lo)
+        out = stack[hi:hi + size].reshape(hi - lo, d, n, n)
+        if reverse:
+            np.matmul(ops[None], prev, out=out)
+        else:
+            np.matmul(prev, ops[None], out=out)
+        lo, hi = hi, hi + size
+    return stack
 
 
 def word_operators(ops, max_len: int):
     """Dict word -> forward product, for all words up to max_len."""
     ops = as_complex(ops)
-    table = {(): np.eye(ops.shape[1], dtype=np.complex128)}
-    for w in words(ops.shape[0], max_len, 1):  # by length: w[:-1] is known
-        table[w] = table[w[:-1]] @ ops[w[-1]]
-    return table
+    return dict(zip(words(ops.shape[0], max_len), word_stack(ops, max_len)))
+
+
+def log2_moment_bytes(d: int, n: int, max_len: int) -> float:
+    """log2 of the bytes :func:`moment_table` holds at once: the W x W
+    moment matrix and two W x n^2 word stacks (the products, conjugated in
+    place, and the products weighted by rho), 16 bytes per entry, plus
+    16 KiB for the array objects around them."""
+    w = log2_word_count(d, max_len)
+    arrays = 4 + w + np.logaddexp2(w, 1 + 2 * math.log2(n))
+    return float(np.logaddexp2(arrays, 14))
 
 
 def moment_table(sys: KrausSystem, state: InvariantState, max_len: int,
@@ -384,15 +414,18 @@ def moment_table(sys: KrausSystem, state: InvariantState, max_len: int,
 
     With ``reverse=True`` the words are read in the reversed order
     (``v_I = v_{i_m} ... v_{i_1}``), exposed for convention validation.
-    A table whose W x W moment matrix exceeds BYTES_BUDGET is refused.
+    A table whose arrays (:func:`log2_moment_bytes`) exceed BYTES_BUDGET is
+    refused.
     """
     w = log2_word_count(sys.d, max_len)
-    check_budget(4 + 2 * w, f"a moment table of word length <= {max_len}",
-                 "the {} x {} moment matrix", w, w)
-    ws = words(sys.d, max_len)
-    table = word_operators(sys.ops, max_len)
-    stack = np.stack([table[w[::-1]] if reverse else table[w] for w in ws])
-    weighted = np.einsum("pq,aqr->apr", state.rho, stack).reshape(len(ws), -1)
-    flat = np.conj(stack.reshape(len(ws), -1))
+    check_budget(log2_moment_bytes(sys.d, sys.n, max_len),
+                 f"a moment table of word length <= {max_len}",
+                 "the {} x {} moment matrix and two {} x {} word stacks",
+                 w, w, w, 2 * math.log2(sys.n))
+    stack = word_stack(sys.ops, max_len, reverse)
+    size = len(stack)
+    weighted = np.einsum("pq,aqr->apr", state.rho, stack).reshape(size, -1)
+    flat = np.conj(stack, out=stack).reshape(size, -1)
     vals = weighted @ flat.T  # vals[a, b] = Tr(rho W_a W_b^dag)
-    return ws, vals
+    del stack, weighted, flat  # freed before the word list is built
+    return words(sys.d, max_len), vals

@@ -166,8 +166,8 @@ def test_oversized_moment_table_is_refused(argv, capsys):
     assert run(argv) == cli.EXIT_INTERNAL
     assert capsys.readouterr().err.splitlines() == [
         "internal consistency failure: a moment table of word length <= 9 "
-        "needs about 13301 MiB for the 29524 x 29524 moment matrix, over the "
-        "budget of 1024 MiB"]
+        "needs about 13304 MiB for the 29524 x 29524 moment matrix and two "
+        "29524 x 4 word stacks, over the budget of 1024 MiB"]
 
 
 @pytest.mark.parametrize("argv, line", [
@@ -179,7 +179,7 @@ def test_oversized_moment_table_is_refused(argv, capsys):
     (["moments", "fixture:aklt", "--max-len", "10000"],
      "internal consistency failure: a moment table of word length <= 10000 "
      "needs about 9.14e+9537 MiB for the 2.45e+4771 x 2.45e+4771 moment "
-     "matrix, over the budget of 1024 MiB"),
+     "matrix and two 2.45e+4771 x 4 word stacks, over the budget of 1024 MiB"),
 ], ids=["analyze", "moments"])
 def test_huge_sizes_are_refused_in_one_short_line(argv, line, capsys):
     # sizes with thousands of digits are printed in scientific form
@@ -203,6 +203,29 @@ def test_refusal_cost_does_not_grow_with_the_size(argv, capsys):
 def test_moment_table_within_budget_runs(tmp_path):
     # W = 3280 words: a 164 MiB moment matrix
     assert run(["analyze", "fixture:aklt", "--no-amalgam", "--cutoff", "7",
+                "-o", str(tmp_path / "r.json")]) == cli.EXIT_OK
+
+
+def test_oversized_dual_diagnostics_are_refused(monkeypatch, capsys):
+    # d = 24: W = (24^5 - 1) / 23 = 346201 words of length <= 4, whose two
+    # W x W moment Grams alone would take 3.5 TiB; refused before any word
+    # vector is built
+    def unbudgeted(*args, **kwargs):
+        raise AssertionError("word vectors built over the budget")
+
+    monkeypatch.setattr(modular, "word_vectors", unbudgeted)
+    assert run(["analyze", "fixture:random-seeded:0:2:24",
+                "--no-amalgam"]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err.splitlines() == [
+        "internal consistency failure: the moment-duality check over words "
+        "of length <= 4 needs about 3657773 MiB for two 346201 x 346201 "
+        "moment Grams and four 346201 x 4 word-vector arrays, over the "
+        "budget of 1024 MiB"]
+
+
+def test_dual_diagnostics_within_budget_run(tmp_path):
+    # d = 4: W = 341 words of length <= 4
+    assert run(["analyze", "fixture:random-seeded:0:3:4", "--no-amalgam",
                 "-o", str(tmp_path / "r.json")]) == cli.EXIT_OK
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fcslab import fixtures, modular, systems
+from fcslab import fixtures, modular
 from fcslab.linalg import dag
-from conftest import build_pipeline
+from conftest import build_pipeline, word_operator
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +79,8 @@ def test_dual_word_vector_identity_spotcheck(aklt_pipeline):
     md = aklt_pipeline.md
     dual = aklt_pipeline.dual
     word = (0, 2, 1)
-    wop = systems.word_operator(dual.ops, word)
-    vop = systems.word_operator(md.pi_ops, word[::-1])
+    wop = word_operator(dual.ops, word)
+    vop = word_operator(md.pi_ops, word[::-1])
     assert np.linalg.norm(dag(wop) @ md.omega - dag(vop) @ md.omega) < 1e-10
 
 

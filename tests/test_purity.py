@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcslab import algebras, fixtures, purity
+from fcslab import algebras, chain, fixtures, modular, purity, systems
 from fcslab.systems import KrausSystem
 
 
@@ -95,6 +95,24 @@ class TestBattery:
                             counted("transfer_super", KrausSystem.transfer_super))
         purity.purity_battery(sys_)
         assert calls == {"commutant": 1, "transfer_super": 1}
+
+    @pytest.mark.parametrize("name", ["aklt", "3+3"])
+    def test_no_word_operator_table_is_built(self, name, monkeypatch):
+        # the dual diagnostics read word vectors and the gauge group's moment
+        # table reads the word stack; neither builds the dict of operators
+        sys_ = fixtures.aklt() if name == "aklt" else fixtures.block_sum(
+            fixtures.random_system(3, 2, 21), fixtures.random_system(3, 2, 22))
+        calls, real = [], systems.word_operators
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (systems, modular, chain, purity):
+            if hasattr(module, "word_operators"):
+                monkeypatch.setattr(module, "word_operators", counted)
+        purity.purity_battery(sys_)
+        assert calls == []
 
     def test_validation_error_on_bad_system(self):
         bad = KrausSystem(np.stack([np.eye(2, dtype=complex),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import word_operator
 from fcslab import fixtures, systems
 from fcslab.linalg import dag
 
@@ -163,7 +164,7 @@ class TestWords:
         ops = fixtures.aklt().ops
         w = (0, 1, 2)
         expect = ops[0] @ ops[1] @ ops[2]
-        assert np.allclose(systems.word_operator(ops, w), expect)
+        assert np.allclose(word_operator(ops, w), expect)
         table = systems.word_operators(ops, 3)
         assert np.allclose(table[w], expect)
 
