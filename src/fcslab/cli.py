@@ -2,7 +2,7 @@
 
 Exit codes are a stable contract: 0 on completed analysis (regardless of the
 purity verdict), 2 on parse failure, 3 on validation failure, 4 on
-internal-consistency failure.
+internal-consistency failure, a refused budget or a failed allocation.
 """
 
 from __future__ import annotations
@@ -98,9 +98,8 @@ def cmd_analyze(args) -> int:
         return EXIT_VALIDATION
     except (purity.InternalConsistencyError, modular.ModularError,
             systems.TruncationError, linalg.NotPositiveError,
-            linalg.NonHermitianError) as exc:
-        print(f"internal consistency failure: {exc}", file=_sys.stderr)
-        return EXIT_INTERNAL
+            linalg.NonHermitianError, MemoryError) as exc:
+        return _internal_failure(exc)
 
     provenance = {
         "input_sha256": hashlib.sha256(text.encode()).hexdigest(),
@@ -118,6 +117,14 @@ def cmd_analyze(args) -> int:
         print(payload, end="")
     _print_summary(report, two_doc)
     return EXIT_OK
+
+
+def _internal_failure(exc: Exception) -> int:
+    """Report an exit-4 failure in one line; a failed allocation may carry
+    no message, and is then named by its type."""
+    print(f"internal consistency failure: {str(exc) or type(exc).__name__}",
+          file=_sys.stderr)
+    return EXIT_INTERNAL
 
 
 def _run_twosided(p: purity.Pipeline, level: int) -> dict:
@@ -199,16 +206,20 @@ def cmd_moments(args) -> int:
     except systems.ValidationError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_VALIDATION
-    except systems.TruncationError as exc:
-        print(f"internal consistency failure: {exc}", file=_sys.stderr)
-        return EXIT_INTERNAL
+    except (systems.TruncationError, MemoryError) as exc:
+        return _internal_failure(exc)
     order = "reversed" if args.reverse_words else "forward"
     print(f"# word moments, {order} products, lengths <= {args.max_len}")
     for a, b in zip(*np.nonzero(np.abs(vals) > args.tol)):
         ia, jb = (",".join(map(str, ws[k])) or "-" for k in (a, b))
         z = vals[a, b]
-        print(f"I=({ia}) J=({jb})  {z.real:+.12f}{z.imag:+.12f}j")
+        print(f"I=({ia}) J=({jb})  {_rounded(z.real)}{_rounded(z.imag)}j")
     return EXIT_OK
+
+
+def _rounded(x: float) -> str:
+    """x with sign to 12 decimals, a value that rounds to zero as +0."""
+    return f"{float(f'{x:.12f}') + 0.0:+.12f}"
 
 
 def build_parser() -> argparse.ArgumentParser:

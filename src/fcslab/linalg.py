@@ -383,8 +383,8 @@ def orthonormalize_matrices(mats, tol: float = KERNEL_TOL) -> np.ndarray:
     if not mats.size:
         return np.zeros((0, 0, 0), dtype=np.complex128)
     k, n = mats.shape[0], mats.shape[-1]
-    u, s, vh = np.linalg.svd(mats.reshape(k, n * n), full_matrices=False)
-    rank = int(np.sum(s > tol * max(1.0, s[0])))
+    _, s, vh = np.linalg.svd(mats.reshape(k, n * n), full_matrices=False)
+    rank = kernel_rank(s, tol)
     return vh[:rank].reshape(rank, n, n)
 
 

@@ -236,17 +236,24 @@ def kms_duality(md: ModularData, dual: DualSystem,
     The commutant is the one the canonical system carries
     (:attr:`fcslab.systems.CanonicalSystem.commutant`).
 
+    Only vectors are formed.  With the rows x Omega and y Omega of the two
+    bases, tau(x) Omega = R x Omega for the canonical system's transfer
+    matrix R, and tau~(y) Omega = sum_k w_k (y (w_k* Omega)), so each side
+    is a product of (dim, m) vector stacks and no operator product of a
+    basis is taken.
+
     A residual above ``10 * max(tol, 1e-9)`` raises
     :class:`DualConstructionError`.
     """
     duals = dual.ops
     omega = md.omega
-    xs = md.can.algebra.basis
+    x_omega = md.can.algebra.basis @ omega
     ys = md.can.commutant.basis
-    tx = sum(a @ xs @ dag(a) for a in md.pi_ops)
-    ty = sum(w @ ys @ dag(w) for w in duals)
-    lhs = np.conj(ys @ omega) @ (tx @ omega).T
-    rhs = np.conj(ty @ omega) @ (xs @ omega).T
+    w_omega = dag(duals) @ omega  # (d, m): w_k* Omega
+    # (ys @ w_omega.T)[y, b, k] = (y w_k* Omega)_b, contracted with w_k
+    ty_omega = np.tensordot(ys @ w_omega.T, duals, axes=([1, 2], [2, 0]))
+    lhs = np.conj(ys @ omega) @ md.can.transfer @ x_omega.T
+    rhs = np.conj(ty_omega) @ x_omega.T
     res = float(np.max(np.abs(lhs - rhs)))
     if res > max(tol, 1e-9) * 10:
         raise DualConstructionError(

@@ -99,13 +99,13 @@ def ergodicity(can: systems.CanonicalSystem,
                tol: float = 1e-8) -> ErgodicityResult:
     """Simplicity of eigenvalue 1 of the transfer channel on the algebra.
 
-    Cross-checked against triviality of the center; disagreement between the
-    two equivalent tests raises an internal-consistency error.
+    The eigenvalues are those of ``can.transfer``, the transfer channel on A
+    in the basis pi(c) (:class:`fcslab.systems.CanonicalSystem`), an m x m
+    matrix filled on C^n.  They are cross-checked against triviality of the
+    center, computed on the GNS space from A and A'; disagreement between
+    the two equivalent tests raises an internal-consistency error.
     """
-    alg = can.algebra
-    image = sum(a @ alg.basis @ dag(a) for a in can.pi_ops)  # tau on the basis
-    restricted = np.conj(alg.rows) @ image.reshape(alg.dim, -1).T
-    w = np.linalg.eigvals(restricted)
+    w = np.linalg.eigvals(can.transfer)
     fixed_dim = int(np.sum(np.abs(w - 1.0) <= tol))
     simple = fixed_dim == 1
 

@@ -109,18 +109,14 @@ class KrausSystem:
 @dataclass(frozen=True)
 class SystemDiagnostics:
     unit_residual: float
-    op_norms: tuple
     ok: bool
     tol: float
 
 
 def validate(sys: KrausSystem, tol: float = DEFAULT_TOL) -> SystemDiagnostics:
-    """Check sum v v* = 1 and report per-operator norms."""
+    """Check sum v v* = 1."""
     residual = sys.unit_defect()
-    norms = tuple(float(np.linalg.norm(a, ord=2)) for a in sys.ops)
-    return SystemDiagnostics(
-        unit_residual=residual, op_norms=norms, ok=residual <= tol, tol=tol
-    )
+    return SystemDiagnostics(unit_residual=residual, ok=residual <= tol, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -150,7 +146,6 @@ class InvariantState:
 class InvariantSearch:
     multiplicity: int
     mean_state: InvariantState
-    extreme_states: tuple  # tuple of InvariantState
 
 
 def invariant_states(sys: KrausSystem, tol: float = DEFAULT_TOL) -> InvariantSearch:
@@ -166,8 +161,7 @@ def invariant_states(sys: KrausSystem, tol: float = DEFAULT_TOL) -> InvariantSea
     a singular or ill-conditioned ``L^T R`` means a Jordan block at 1, which
     no channel has, and is refused.  The mean state is invariant and has
     maximal support among invariant densities, which makes it the right input
-    for support compression.  Extreme states are extracted heuristically by
-    diagonalizing a generic element of the fixed space.
+    for support compression.
     """
     n = sys.n
     u, s, vh = np.linalg.svd(sys.predual_super() - np.eye(n * n))
@@ -187,44 +181,7 @@ def invariant_states(sys: KrausSystem, tol: float = DEFAULT_TOL) -> InvariantSea
     rho_bar = rho_bar / np.trace(rho_bar).real
     mean = InvariantState(rho_bar)
     mean.check(sys, tol=max(tol, 1e-10))
-
-    if multiplicity == 1:
-        extremes = (mean,)
-    else:
-        extremes = _extreme_states(sys, from_frame(vh[rank:], n), rho_bar, tol)
-    return InvariantSearch(multiplicity=multiplicity, mean_state=mean,
-                           extreme_states=extremes)
-
-
-def _extreme_states(sys, fixed, rho_bar, tol):
-    """Split rho_bar along spectral projections of a generic element of the
-    fixed space, given by a Hermitian basis."""
-    generic = sum((k + 1) * h for k, h in enumerate(fixed))
-    w, u = herm_eig(generic, tol=1e-7)
-    # group eigenvalues into clusters to get spectral projections
-    clusters = []
-    for i, lam in enumerate(w):
-        if clusters and abs(lam - w[clusters[-1][-1]]) < 1e-7 * max(1.0, abs(lam)):
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    states = []
-    for cluster in clusters:
-        p = sum(np.outer(u[:, i], np.conj(u[:, i])) for i in cluster)
-        cand = p @ rho_bar @ p
-        tr = np.trace(cand).real
-        if tr < 1e-12:
-            continue
-        cand = (cand + dag(cand)) / (2 * tr)
-        try:
-            state = InvariantState(cand)
-            state.check(sys, tol=max(tol, 1e-8))
-        except ValidationError:
-            continue
-        states.append(state)
-    if not states:
-        states = [InvariantState(rho_bar)]
-    return tuple(states)
+    return InvariantSearch(multiplicity=multiplicity, mean_state=mean)
 
 
 def compress_to_support(sys: KrausSystem, state: InvariantState,
@@ -267,6 +224,13 @@ class CanonicalSystem:
     center, the support identity Fix(tau_pi) = A' and KMS duality).  A' is
     taken from the algebra alone, independently of the modular conjugation J,
     so ``dim A' == dim A`` stays a check that standard form holds.
+
+    ``transfer`` is the m x m matrix R of the transfer channel tau(x) =
+    sum_k pi(v_k) x pi(v_k)* on the represented algebra, read on vectors:
+    tau(x) Omega = R x Omega for x in A.  pi is a *-homomorphism, so
+    tau(pi(c_j)) = pi(sum_k v_k c_j v_k*), and column j is the coordinate
+    vector of sum_k v_k c_j v_k* on C^n; as pi(c_j) Omega = e_j, R is also
+    the matrix of tau in the basis pi(c) of A.
     """
 
     base: KrausSystem
@@ -276,6 +240,7 @@ class CanonicalSystem:
     algebra: OperatorSubspace = field(repr=False)
     basis_mats: np.ndarray = field(repr=False)  # (m, n, n)
     commutant: OperatorSubspace = field(repr=False)
+    transfer: np.ndarray = field(repr=False)  # (m, m)
 
     @property
     def gns_dim(self) -> int:
@@ -329,10 +294,12 @@ def canonicalize(sys: KrausSystem, state: InvariantState,
     refine = pos_power(_coordinates(rho, c, c).T, -0.5)
     c = np.einsum("ab,aij->bij", refine, c)
     algebra = OperatorSubspace.from_matrices(_represent(rho, c, c), len(c))
+    images = sum(a @ c @ dag(a) for a in sys.ops)  # sum_k v_k c_j v_k*
     return CanonicalSystem(
         base=sys, state=state, pi_ops=_represent(rho, c, sys.ops),
         omega=_coordinates(rho, c, np.eye(n)), algebra=algebra, basis_mats=c,
         commutant=algebras.commutant(algebra),
+        transfer=_coordinates(rho, c, images).T,
     )
 
 

@@ -229,6 +229,48 @@ def test_dual_diagnostics_within_budget_run(tmp_path):
                 "-o", str(tmp_path / "r.json")]) == cli.EXIT_OK
 
 
+_NO_MEMORY = ("Unable to allocate 1.53 GiB for an array with shape "
+              "(160000, 640) and data type complex128")
+
+
+@pytest.mark.parametrize("argv, stage, error, reason", [
+    (["analyze", "fixture:aklt", "--no-amalgam"], "canonicalize",
+     MemoryError(_NO_MEMORY), _NO_MEMORY),
+    # a failed LAPACK workspace allocation raises a bare MemoryError
+    (["analyze", "fixture:aklt", "--no-amalgam"], "canonicalize",
+     MemoryError(), "MemoryError"),
+    (["moments", "fixture:aklt"], "moment_table",
+     MemoryError(_NO_MEMORY), _NO_MEMORY),
+], ids=["analyze", "analyze-bare", "moments"])
+def test_failed_allocation_is_an_internal_failure(argv, stage, error, reason,
+                                                  monkeypatch, capsys):
+    # an allocation the address space refuses ends in exit 4 and one line
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(systems, stage, exhausted)
+    assert run(argv) == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err.splitlines() == [
+        f"internal consistency failure: {reason}"]
+
+
+def test_moments_print_rounded_values_without_signed_zeros(capsys):
+    assert run(["moments", "fixture:random-seeded:1:4:2",
+                "--max-len", "2"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()[1:]
+    sys_ = fixtures.by_name("random-seeded:1:4:2")
+    ws, vals = systems.moment_table(
+        sys_, systems.invariant_states(sys_).mean_state, 2)
+    index = {",".join(map(str, w)) or "-": k for k, w in enumerate(ws)}
+    assert lines and not any("-0.000000000000" in line for line in lines)
+    for line in lines:
+        words, value = line.split("  ")
+        i, j = (index[w[3:-1]] for w in words.split())
+        assert abs(complex(value) - vals[i, j]) <= 1e-12, line
+    # phi(v_I v_I*) is real, and its round-off imaginary part prints as +0
+    assert "I=(1,0) J=(1,0)  +0.193950619301+0.000000000000j" in lines
+
+
 @pytest.mark.parametrize("command", ["analyze", "moments"])
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_tol_must_be_positive_and_finite(command, tol, capsys):

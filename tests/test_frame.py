@@ -45,17 +45,17 @@ INVARIANT_CASES = CASES + [
     for eps in (1e-2, 1e-4, 1e-6, 1e-8, 1e-11)]
 
 # Verdicts (pure, ergodic, factor, multiplicity, strongly mixing, gauge
-# group, extreme states) of the fixtures, as the vec-basis battery reported
-# them; every seeded random system is pure, primitive and gauge-trivial.
+# group) of the fixtures, as the vec-basis battery reported them; every
+# seeded random system is pure, primitive and gauge-trivial.
 VERDICTS = {
-    "aklt": (True, True, True, 1, True, "trivial {1}", 1),
-    "bernoulli-uniform": (True, True, True, 1, True, "trivial {1}", 1),
-    "bernoulli-basis": (True, True, True, 1, True, "trivial {1}", 1),
-    "nonergodic-z2": (False, False, False, 2, False, "trivial {1}", 2),
-    "two-block": (False, False, False, 2, False, "trivial {1}", 2),
-    "period-two": (True, True, True, 1, False, "Z_2", 1),
+    "aklt": (True, True, True, 1, True, "trivial {1}"),
+    "bernoulli-uniform": (True, True, True, 1, True, "trivial {1}"),
+    "bernoulli-basis": (True, True, True, 1, True, "trivial {1}"),
+    "nonergodic-z2": (False, False, False, 2, False, "trivial {1}"),
+    "two-block": (False, False, False, 2, False, "trivial {1}"),
+    "period-two": (True, True, True, 1, False, "Z_2"),
 }
-RANDOM_VERDICT = (True, True, True, 1, True, "trivial {1}", 1)
+RANDOM_VERDICT = (True, True, True, 1, True, "trivial {1}")
 
 
 def sort_spectrum(w):
@@ -185,8 +185,7 @@ def test_invariant_states_match_vec_basis_reference(label, sys_):
 def test_verdicts_unchanged(label, sys_):
     rep = purity.purity_battery(sys_)
     got = (rep.is_pure, rep.is_ergodic, rep.is_factor, rep.invariant_multiplicity,
-           rep.strongly_mixing, rep.gauge.describe(),
-           len(rep.pipeline.search.extreme_states))
+           rep.strongly_mixing, rep.gauge.describe())
     assert got == VERDICTS.get(label, RANDOM_VERDICT)
 
 

@@ -5,8 +5,9 @@ against the orthonormal basis c of the canonical system.  The references
 below evaluate them one basis element at a time: pi(x) by the four-operand
 einsum, Tomita's S one column at a time, Omega by traces, the duals one
 Kraus operator at a time, commutant membership one (dual, basis) pair at a
-time, and the transfer channel restricted to the algebra through its
-m^2 x m^2 superoperator.  They serve only as small-m oracles.
+time, and the transfer matrix on the basis pi(c) through the m^2 x m^2
+superoperator of the transfer channel on the GNS space.  They serve only as
+small-m oracles.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 
 from conftest import build_pipeline
 from fcslab import algebras, fixtures, modular, purity, systems
-from fcslab.linalg import OperatorSubspace, dag, subspace_contains
+from fcslab.linalg import OperatorSubspace, dag, subspace_contains, unvec, vec
 
 FIXTURES = ("aklt", "bernoulli-uniform", "bernoulli-basis", "nonergodic-z2",
             "two-block", "period-two")
@@ -32,22 +33,17 @@ def reference_s(rho, c):
     return s
 
 
-def reference_restricted_transfer(can):
-    rows = can.algebra.rows
-    return np.conj(rows) @ algebras.channel_super(can.pi_ops) @ rows.T
+def reference_transfer(can):
+    """The transfer channel on A in the basis pi(c): column j is
+    tau(pi(c_j)) Omega, with tau applied by its m^2 x m^2 superoperator to
+    pi(c_j) from the four-operand einsum."""
+    rho, c, m = can.state.rho, can.basis_mats, can.gns_dim
+    sup = algebras.channel_super(can.pi_ops)
+    return np.stack([unvec(sup @ vec(reference_pi(rho, c, x)), m) @ can.omega
+                     for x in c], axis=1)
 
 
-def restricted_transfer(can, monkeypatch):
-    """The matrix ``purity.ergodicity`` diagonalizes, and its result."""
-    seen, eigvals = [], np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals", lambda a: seen.append(a) or eigvals(a))
-    result = purity.ergodicity(can)
-    monkeypatch.undo()
-    assert len(seen) == 1
-    return seen[0], result
-
-
-def deviations(p, monkeypatch):
+def deviations(p):
     """Largest entrywise deviation from the references, per quantity."""
     can, md = p.can, p.md
     rho, c = can.state.rho, can.basis_mats
@@ -58,9 +54,9 @@ def deviations(p, monkeypatch):
                           for a in can.pi_ops])
     ref_membership = max(float(np.linalg.norm(w @ b - b @ w))
                          for w in ref_duals for b in can.algebra.basis)
-    restricted, erg = restricted_transfer(can, monkeypatch)
-    ref_restricted = reference_restricted_transfer(can)
-    ref_w = np.linalg.eigvals(ref_restricted)
+    ref_transfer = reference_transfer(can)
+    ref_w = np.linalg.eigvals(ref_transfer)
+    erg = purity.ergodicity(can)
     assert erg.fixed_dim_in_algebra == int(np.sum(np.abs(ref_w - 1.0) <= 1e-8))
     gram = np.stack([[np.trace(rho @ dag(a) @ b) for b in c] for a in c])
     return {
@@ -75,32 +71,32 @@ def deviations(p, monkeypatch):
         "duals": np.max(np.abs(p.dual.ops - ref_duals)),
         "commutant_membership": abs(
             p.dual.residuals["commutant_membership"] - ref_membership),
-        "restricted_transfer": np.max(np.abs(restricted - ref_restricted)),
+        "transfer": np.max(np.abs(can.transfer - ref_transfer)),
     }
 
 
-def assert_close(p, monkeypatch, label):
-    dev = deviations(p, monkeypatch)
+def assert_close(p, label):
+    dev = deviations(p)
     worst = max(dev, key=dev.get)
     assert dev[worst] <= TOL, (label, worst, dev[worst])
 
 
 @pytest.mark.parametrize("name", FIXTURES)
-def test_fixtures(name, monkeypatch):
-    assert_close(build_pipeline(fixtures.by_name(name)), monkeypatch, name)
+def test_fixtures(name):
+    assert_close(build_pipeline(fixtures.by_name(name)), name)
 
 
-def test_random_cases(random_pipelines, monkeypatch):
+def test_random_cases(random_pipelines):
     for seed, n, d, p in random_pipelines:
-        assert_close(p, monkeypatch, (seed, n, d))
+        assert_close(p, (seed, n, d))
 
 
-def test_block_sum(monkeypatch):
+def test_block_sum():
     sys_ = fixtures.block_sum(fixtures.random_system(3, 2, 21),
                               fixtures.random_system(3, 2, 22))
     p = build_pipeline(sys_)
     assert p.can.gns_dim == 18
-    assert_close(p, monkeypatch, "3+3 block sum")
+    assert_close(p, "3+3 block sum")
 
 
 def test_basis_orthonormal_under_perturbed_density():

@@ -47,14 +47,13 @@ class TestInvariantStates:
         assert np.allclose(search.mean_state.rho, np.eye(2) / 2, atol=1e-12)
 
     def test_nonergodic_segment(self):
-        search = systems.invariant_states(fixtures.nonergodic_z2())
+        sys_ = fixtures.nonergodic_z2()
+        search = systems.invariant_states(sys_)
         assert search.multiplicity == 2
-        assert len(search.extreme_states) == 2
-        for st in search.extreme_states:
-            st.check(fixtures.nonergodic_z2(), tol=1e-8)
-            # extreme densities sit on the two diagonal corners
-            assert min(np.linalg.norm(st.rho - np.diag(e))
-                       for e in ([1.0, 0.0], [0.0, 1.0])) < 1e-7
+        search.mean_state.check(sys_, tol=1e-8)
+        # the segment's extreme densities are the two diagonal corners, and
+        # the mean state is their midpoint
+        assert np.allclose(search.mean_state.rho, np.eye(2) / 2, atol=1e-12)
 
     def test_two_block_mean_has_full_support(self):
         search = systems.invariant_states(fixtures.two_block())
@@ -108,11 +107,11 @@ class TestCompression:
     def test_proper_support_compression(self):
         sys_ = fixtures.two_block()
         # the extreme state living on the scalar block has 1-dim support
-        search = systems.invariant_states(sys_)
-        small = min(search.extreme_states,
-                    key=lambda st: np.linalg.matrix_rank(st.rho, tol=1e-8))
+        scalar = np.zeros((sys_.n, sys_.n), dtype=complex)
+        scalar[-1, -1] = 1.0
+        small = systems.InvariantState(scalar)
         comp, state, iso = systems.compress_to_support(sys_, small)
-        assert comp.n < sys_.n
+        assert comp.n == 1
         assert systems.validate(comp).ok
         state.check(comp, tol=1e-8)
 
