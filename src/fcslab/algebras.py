@@ -100,14 +100,21 @@ def commutant(space: OperatorSubspace,
         basis=psd_range(np.real(d @ np.conj(d.T)).reshape(-1), column, tol).T)
 
 
-def center_and_factor(space: OperatorSubspace, commutant: OperatorSubspace):
-    """Center, the intersection of A and A', of a *-closed algebra A, and
-    whether A is a factor.
+def generated_commutant(gens, tol: float = KERNEL_TOL) -> OperatorSubspace:
+    """{g_k, g_k*}' in M_r: the joint kernel of x -> g x - x g over the
+    generators and their adjoints, with r^2 unknowns.  On row-major vec(x)
+    the map has the entries g[i, k] [j = l] - [i = k] g[l, j]."""
+    gens = np.concatenate([gens, dag(gens)])
+    r = gens.shape[-1]
+    eye = np.eye(r)
+    maps = (np.einsum("gik,jl->gijkl", gens, eye)
+            - np.einsum("ik,glj->gijkl", eye, gens))
+    return solve_linear_space([maps.reshape(-1, r * r)], r, tol=tol)
 
-    The commutant A' is passed in (see :func:`commutant`), so a caller that
-    already holds it, as :class:`fcslab.systems.CanonicalSystem` does, does
-    not compute it again.
-    """
+
+def center_and_factor(space: OperatorSubspace, commutant: OperatorSubspace):
+    """Center, the intersection of A and A', of a *-closed algebra A given
+    its commutant A', and whether A is a factor."""
     center = subspace_intersection(space, commutant)
     return center, center.dim == 1
 

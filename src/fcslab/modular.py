@@ -3,9 +3,10 @@
 Given a canonical system (cyclic and separating vector Omega), this module
 builds the closure S of ``x Omega -> x* Omega``, its polar decomposition
 ``S = J Delta^{1/2}``, the modular group ``sigma_z(x) = Delta^{iz} x
-Delta^{-iz}``, and the dual operators ``w_k = J sigma_{i/2}(pi(v_k)*) J``
-living in the commutant.  Every identity the duals must satisfy is checked
-numerically; a failed identity aborts the construction.
+Delta^{-iz}``, the commutant J A J of the represented algebra, and the dual
+operators ``w_k = J sigma_{i/2}(pi(v_k)*) J`` living in it.  Every identity
+the duals must satisfy is checked numerically; a failed identity aborts the
+construction.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     AntilinearOp,
+    OperatorSubspace,
     as_complex,
     dag,
     frame_super,
@@ -42,7 +44,8 @@ class ModularData:
     Delta^{1/2} and Delta^{-1/2} that :func:`modular_data` takes once to
     build J and check the polar decomposition; the analytic continuation
     sigma_{i/2} behind the duals reads them instead of diagonalizing Delta
-    again."""
+    again.  ``commutant`` is A' = J A J (Tomita; Bratteli & Robinson, Thm
+    2.5.14), its basis HS-orthonormal as J is antiunitary."""
 
     can: CanonicalSystem
     s: AntilinearOp = field(repr=False)
@@ -51,6 +54,7 @@ class ModularData:
     residuals: dict = field(repr=False)
     d_half: np.ndarray = field(repr=False)
     d_minus_half: np.ndarray = field(repr=False)
+    commutant: OperatorSubspace = field(repr=False)
 
     @property
     def gns_dim(self) -> int:
@@ -66,7 +70,7 @@ class ModularData:
 
 
 def modular_data(can: CanonicalSystem, tol: float = DEFAULT_TOL) -> ModularData:
-    """Tomita data (S, Delta, J) for the canonical system."""
+    """Tomita data (S, Delta, J) for the canonical system, and A' = J A J."""
     c = can.basis_mats
     # S e_j = coordinates of c_j*
     s = AntilinearOp(can.coordinates(dag(c)).T)
@@ -99,7 +103,9 @@ def modular_data(can: CanonicalSystem, tol: float = DEFAULT_TOL) -> ModularData:
     if bad:
         raise ModularError(f"modular identities failed: {bad}")
     return ModularData(can=can, s=s, delta=delta, j=j, residuals=residuals,
-                       d_half=d_half, d_minus_half=d_minus_half)
+                       d_half=d_half, d_minus_half=d_minus_half,
+                       commutant=OperatorSubspace(
+                           can.gns_dim, j.sandwich(can.algebra.basis)))
 
 
 def sigma(md: ModularData, x: np.ndarray, z: complex,
@@ -233,8 +239,7 @@ def kms_duality(md: ModularData, dual: DualSystem,
     <tau~(y) Omega, x Omega>, tau(x) = sum_k pi(v_k) x pi(v_k)* and
     tau~(y) = sum_k w_k y w_k*, over all basis pairs x in the algebra, y in
     its commutant: the largest entry of the difference of two Gram matrices.
-    The commutant is the one the canonical system carries
-    (:attr:`fcslab.systems.CanonicalSystem.commutant`).
+    The commutant is J A J (:attr:`ModularData.commutant`).
 
     Only vectors are formed.  With the rows x Omega and y Omega of the two
     bases, tau(x) Omega = R x Omega for the canonical system's transfer
@@ -248,7 +253,7 @@ def kms_duality(md: ModularData, dual: DualSystem,
     duals = dual.ops
     omega = md.omega
     x_omega = md.can.algebra.basis @ omega
-    ys = md.can.commutant.basis
+    ys = md.commutant.basis
     w_omega = dag(duals) @ omega  # (d, m): w_k* Omega
     # (ys @ w_omega.T)[y, b, k] = (y w_k* Omega)_b, contracted with w_k
     ty_omega = np.tensordot(ys @ w_omega.T, duals, axes=([1, 2], [2, 0]))

@@ -9,7 +9,8 @@ the represented algebra, together with ergodicity of the transfer channel.
 Both fixed-point spaces are certified by the fixed-point lemma
 (:func:`fcslab.algebras.fixed_point_lemma`) from invariant faithful
 densities the pipeline already holds, so no fixed-point kernel on the
-m^2-dimensional matrix space of the GNS space is solved.
+m^2-dimensional matrix space of the GNS space is solved; A' is J A J and the
+center is read on C^r (:func:`ergodicity`), so no other subspace is either.
 The infinite-volume statements this certifies are documented in the report
 as certified indirectly; they are never tested directly.
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebras, chain, modular, systems
-from .linalg import dag, solve_linear_space, subspace_equal
+from .linalg import dag, subspace_equal
 
 
 class InternalConsistencyError(RuntimeError):
@@ -102,14 +103,17 @@ def ergodicity(can: systems.CanonicalSystem,
     The eigenvalues are those of ``can.transfer``, the transfer channel on A
     in the basis pi(c) (:class:`fcslab.systems.CanonicalSystem`), an m x m
     matrix filled on C^n.  They are cross-checked against triviality of the
-    center, computed on the GNS space from A and A'; disagreement between
-    the two equivalent tests raises an internal-consistency error.
+    center, taken on C^r as that of C = {v_k, v_k*}' (``can.base_commutant``),
+    which is Z(A) as pi is faithful: C intersected with {c, c*}' for a basis
+    c of C.  Disagreement of the two tests is an internal-consistency error.
     """
     w = np.linalg.eigvals(can.transfer)
     fixed_dim = int(np.sum(np.abs(w - 1.0) <= tol))
     simple = fixed_dim == 1
 
-    center, is_factor = algebras.center_and_factor(can.algebra, can.commutant)
+    c = can.base_commutant
+    center, is_factor = algebras.center_and_factor(
+        c, algebras.generated_commutant(c.basis))
     if simple != is_factor:
         raise InternalConsistencyError(
             f"ergodicity test (fixed dim {fixed_dim}) disagrees with factor "
@@ -160,18 +164,6 @@ def _fixed_defect(kraus, basis) -> float:
                         initial=0.0))
 
 
-def _generated_commutant(gens, tol: float):
-    """{g_k, g_k*}' in M_r: the joint kernel of x -> g x - x g over the
-    generators and their adjoints, with r^2 unknowns.  On row-major vec(x)
-    the map has the entries g[i, k] [j = l] - [i = k] g[l, j]."""
-    gens = np.concatenate([gens, dag(gens)])
-    r = gens.shape[-1]
-    eye = np.eye(r)
-    maps = (np.einsum("gik,jl->gijkl", gens, eye)
-            - np.einsum("ik,glj->gijkl", eye, gens))
-    return solve_linear_space([maps.reshape(-1, r * r)], r, tol=tol)
-
-
 def dual_generators(md: modular.ModularData, duals) -> np.ndarray:
     """The x_k in M_r with pi(x_k) = s_k = J w_k J, for duals w_k in A'.
 
@@ -191,11 +183,12 @@ def dual_identity(md: modular.ModularData, duals, tol: float = 1e-9,
     Then Fix = J {s_k, s_k*}' J with s_k = J w_k J, and J A' J = A, so Fix =
     A exactly when {s_k, s_k*}' = A', that is when the s_k generate A.
     Pulled back to the support, that is {x_k, x_k*}' = {v_k, v_k*}' in M_r
-    (:func:`dual_generators`).  Returns (equal, largest principal angle).
+    (:func:`dual_generators`), the latter ``can.base_commutant``.  Returns
+    (equal, largest principal angle).
     """
     return subspace_equal(
-        _generated_commutant(dual_generators(md, duals), tol),
-        _generated_commutant(md.can.base.ops, tol), tol=subspace_tol)
+        algebras.generated_commutant(dual_generators(md, duals), tol),
+        md.can.base_commutant, tol=subspace_tol)
 
 
 @dataclass(frozen=True)
@@ -237,8 +230,8 @@ def purity_battery(sys: systems.KrausSystem, tol: float = 1e-9,
 
     - support identity, Fix(tau_pi) = A': K = pi(v_k) and D = pi(rho), which
       is invariant and positive definite, as <x, D x>_phi =
-      ||rho^{1/2} x rho^{1/2}||^2; the computed commutant must be fixed by
-      tau_pi and, in standard form, have the dimension of A;
+      ||rho^{1/2} x rho^{1/2}||^2; tau_pi must fix J A J, which checks
+      Tomita's theorem A' = J A J on the whole of A;
     - dual identity, Fix(dual) = A: K = w_k and D~ = J D J give Fix(dual) =
       J {s_k, s_k*}' J with s_k = J w_k J in A, which is A exactly when the
       s_k generate A.  Pulled back to the support C^r they are x_k =
@@ -260,22 +253,16 @@ def purity_battery(sys: systems.KrausSystem, tol: float = 1e-9,
 
     erg = ergodicity(can, tol=subspace_tol)
 
-    m = can.gns_dim
-    # in standard form dim A' = dim A: a rank cut of the twirl that drops
-    # part of A' leaves the rest fixed, and only the dimension shows it
-    comm = can.commutant
     density = can.represent(p.comp_state.rho)
     residuals["support_density_invariance"] = _lemma(
         can.pi_ops, density, tol, subspace_tol)
-    residuals["commutant_in_fixed"] = _fixed_defect(can.pi_ops, comm.basis)
-    if (comm.dim != can.algebra.dim
-            or not residuals["commutant_in_fixed"] <= subspace_tol):
+    residuals["commutant_in_fixed"] = _fixed_defect(
+        can.pi_ops, p.md.commutant.basis)
+    if not residuals["commutant_in_fixed"] <= subspace_tol:
         raise InternalConsistencyError(
-            f"the commutant (dim {comm.dim}, fixed-point defect "
-            f"{residuals['commutant_in_fixed']:.3e}) is not the fixed-point "
-            f"space of the transfer channel on an algebra of dim "
-            f"{can.algebra.dim}; this is a bug, not a mathematical outcome"
-        )
+            f"the transfer channel does not fix the commutant J A J (defect "
+            f"{residuals['commutant_in_fixed']:.3e}); this is a bug, not a "
+            "mathematical outcome")
 
     gauge = chain.gauge_group(p.comp_sys, p.comp_state,
                               length_cutoff=gauge_cutoff, tol=max(tol, 1e-9))
@@ -315,7 +302,7 @@ def purity_battery(sys: systems.KrausSystem, tol: float = 1e-9,
         mixing_gap=mixing.gap,
         strongly_mixing=mixing.strongly_mixing,
         gauge=gauge,
-        gns_dim=m,
+        gns_dim=can.gns_dim,
         residuals=residuals,
         pipeline=p,
         notes=(_INDIRECT_NOTE,),

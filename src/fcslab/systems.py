@@ -219,11 +219,11 @@ class CanonicalSystem:
     ``basis_mats`` are the GNS orthonormal basis elements as matrices on the
     original space, ``pi_ops`` the images of the Kraus family, ``omega`` the
     cyclic vector (class of the identity), ``algebra`` the image of the
-    generated algebra inside the GNS matrix space, and ``commutant`` its
-    commutant A', computed once here for every check that reads it (the
-    center, the support identity Fix(tau_pi) = A' and KMS duality).  A' is
-    taken from the algebra alone, independently of the modular conjugation J,
-    so ``dim A' == dim A`` stays a check that standard form holds.
+    generated algebra inside the GNS matrix space, and ``base_commutant`` the
+    commutant {v_k, v_k*}' of the Kraus family in M_n, solved once here for
+    the center of the algebra (Z(A) = Z({v_k, v_k*}')) and the dual
+    identity.  It is not the commutant A' on the GNS space, which is J A J
+    (:attr:`fcslab.modular.ModularData.commutant`).
 
     ``transfer`` is the m x m matrix R of the transfer channel tau(x) =
     sum_k pi(v_k) x pi(v_k)* on the represented algebra, read on vectors:
@@ -239,7 +239,7 @@ class CanonicalSystem:
     omega: np.ndarray = field(repr=False)  # (m,)
     algebra: OperatorSubspace = field(repr=False)
     basis_mats: np.ndarray = field(repr=False)  # (m, n, n)
-    commutant: OperatorSubspace = field(repr=False)
+    base_commutant: OperatorSubspace = field(repr=False)  # in M_n
     transfer: np.ndarray = field(repr=False)  # (m, m)
 
     @property
@@ -298,7 +298,7 @@ def canonicalize(sys: KrausSystem, state: InvariantState,
     return CanonicalSystem(
         base=sys, state=state, pi_ops=_represent(rho, c, sys.ops),
         omega=_coordinates(rho, c, np.eye(n)), algebra=algebra, basis_mats=c,
-        commutant=algebras.commutant(algebra),
+        base_commutant=algebras.generated_commutant(sys.ops, tol),
         transfer=_coordinates(rho, c, images).T,
     )
 

@@ -346,6 +346,20 @@ def _amplitude_damping(eps, gamma=0.5):
     return systems.KrausSystem(ops=np.stack([k.conj().T for k in kraus]))
 
 
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6])
+@pytest.mark.parametrize("extra", [[], ["--no-amalgam"]])
+def test_amplitude_damping_near_the_singular_limit_passes(tmp_path, eps,
+                                                          extra):
+    # the commutant J A J inherits the conditioning of J, which worsens as
+    # eps -> 0; short of the exit-4 cases below every residual stays small
+    path, out = tmp_path / "gad.json", tmp_path / "r.json"
+    path.write_text(serialize.dumps_system(_amplitude_damping(eps)))
+    assert run(["analyze", str(path), "-o", str(out)] + extra) == cli.EXIT_OK
+    doc = json.loads(out.read_text())
+    assert ("twosided" in doc) == (not extra)
+    assert max(doc["residuals"].values()) <= 1e-8, doc["residuals"]
+
+
 def test_singular_modular_operator_is_an_internal_failure(tmp_path, capsys):
     # at eps = 1e-8 the modular operator is singular to working precision and
     # its inverse square root is refused inside linalg; at eps = 5e-10 the

@@ -10,6 +10,7 @@ spaces as kernels of m^2 x m^2 matrices on the GNS space:
 frame matrix minus 1.
 """
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -85,7 +86,7 @@ def test_support_commutants_match_the_twirl(label):
     r = p.comp_sys.n
     for gens in (p.comp_sys.ops, purity.dual_generators(p.md, p.dual.ops)):
         want = algebras.commutant(algebras.generated_algebra(list(gens), r))
-        got = purity._generated_commutant(gens, 1e-9)
+        got = algebras.generated_commutant(gens, 1e-9)
         ok, angle = subspace_equal(got, want)
         assert ok and got.dim == want.dim and angle <= 1e-12, angle
 
@@ -94,7 +95,7 @@ def test_generated_commutant_needs_the_adjoints():
     # a Jordan block commutes with its own powers, but only the scalars
     # commute with it and its adjoint
     jordan = np.array([[[0.0, 1.0], [0.0, 0.0]]], dtype=complex)
-    got = purity._generated_commutant(jordan, 1e-9)
+    got = algebras.generated_commutant(jordan, 1e-9)
     assert got.dim == 1
     assert subspace_equal(got, OperatorSubspace(2, np.eye(2) / np.sqrt(2)))[0]
 
@@ -141,21 +142,17 @@ def test_lemma_rejects_a_non_unital_family():
         algebras.fixed_point_lemma(dag(v), np.eye(v.shape[-1]))
 
 
-def test_truncated_commutant_is_an_internal_failure(monkeypatch):
-    # a commutant that lost one direction (but kept the identity, so the
-    # factor test still agrees with ergodicity) is still fixed by the
-    # transfer channel; only its dimension shows the loss
-    full = algebras.commutant
+def test_algebra_as_commutant_is_an_internal_failure(monkeypatch):
+    # with A in place of A' = J A J the support identity must fail: on
+    # random_system(3, 2, 1) the algebra is M_3, whose image under the
+    # ergodic transfer channel is not itself
+    real = modular.modular_data
 
-    def truncated(space, *args, **kwargs):
-        comm = full(space, *args, **kwargs)
-        m = comm.ambient_dim
-        unit = np.eye(m).reshape(1, -1) / np.sqrt(m)
-        rest = comm.rows - (comm.rows @ unit.T) @ unit
-        rest = OperatorSubspace.from_matrices(rest.reshape(-1, m, m), m)
-        return OperatorSubspace(m, np.concatenate(
-            [unit.reshape(1, m, m), rest.basis[1:]]))
+    def swapped(can, *args, **kwargs):
+        md = real(can, *args, **kwargs)
+        return dataclasses.replace(md, commutant=md.can.algebra)
 
-    monkeypatch.setattr(algebras, "commutant", truncated)
-    with pytest.raises(purity.InternalConsistencyError, match="commutant"):
+    monkeypatch.setattr(modular, "modular_data", swapped)
+    with pytest.raises(purity.InternalConsistencyError,
+                       match="does not fix the commutant"):
         purity.purity_battery(fixtures.random_system(3, 2, 1))

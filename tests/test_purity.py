@@ -77,11 +77,13 @@ class TestBattery:
     @pytest.mark.parametrize("name", ["aklt", "3+3"])
     def test_commutant_and_transfer_spectrum_computed_once(self, name,
                                                             monkeypatch):
-        # A' is shared by the center, the support identity and KMS duality,
-        # and the mixing proxy is read off the reported spectrum
+        # A' = J A J comes from the modular data, so the twirl is never run;
+        # {v_k, v_k*}' is solved once and shared by the center and the dual
+        # identity, and the mixing proxy is read off the reported spectrum
         sys_ = fixtures.aklt() if name == "aklt" else fixtures.block_sum(
             fixtures.random_system(3, 2, 21), fixtures.random_system(3, 2, 22))
-        calls = {"commutant": 0, "transfer_super": 0}
+        calls = {"commutant": 0, "psd_range": 0, "transfer_super": 0}
+        gens, ambients = [], []
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -89,12 +91,30 @@ class TestBattery:
                 return fn(*args, **kwargs)
             return wrapper
 
+        def recorded(store, fn, read):
+            def wrapper(*args, **kwargs):
+                store.append(read(args[0]))
+                return fn(*args, **kwargs)
+            return wrapper
+
         monkeypatch.setattr(algebras, "commutant",
                             counted("commutant", algebras.commutant))
+        monkeypatch.setattr(algebras, "psd_range",
+                            counted("psd_range", algebras.psd_range))
         monkeypatch.setattr(KrausSystem, "transfer_super",
                             counted("transfer_super", KrausSystem.transfer_super))
-        purity.purity_battery(sys_)
-        assert calls == {"commutant": 1, "transfer_super": 1}
+        monkeypatch.setattr(algebras, "generated_commutant", recorded(
+            gens, algebras.generated_commutant, np.copy))
+        monkeypatch.setattr(algebras, "subspace_intersection", recorded(
+            ambients, algebras.subspace_intersection, lambda a: a.ambient_dim))
+        rep = purity.purity_battery(sys_)
+        assert calls == {"commutant": 0, "psd_range": 0, "transfer_super": 1}
+        ops = rep.pipeline.comp_sys.ops
+        assert sum(g.shape == ops.shape and np.array_equal(g, ops)
+                   for g in gens) == 1
+        # the one intersection is the center, on C^r and not the GNS space
+        assert ambients == [rep.pipeline.comp_sys.n]
+        assert rep.gns_dim > rep.pipeline.comp_sys.n
 
     @pytest.mark.parametrize("name", ["aklt", "3+3"])
     def test_no_word_operator_table_is_built(self, name, monkeypatch):

@@ -159,7 +159,7 @@ def test_block_sum():
     angle, diff = compare(p.can.algebra, fixed_spaces(p))
     assert angle <= 1e-12 and diff <= 1e-12, (angle, diff)
     assert algebras.center_and_factor(
-        p.can.algebra, p.can.commutant)[0].dim == 2
+        p.can.algebra, p.md.commutant)[0].dim == 2
 
 
 def _unit(n, i, j):

@@ -34,7 +34,7 @@ def reference_fixed_dim(can, tol: float = 1e-8) -> int:
 def reference_kms(md, duals) -> float:
     omega = md.omega
     xs = md.can.algebra.basis
-    ys = md.can.commutant.basis
+    ys = md.commutant.basis
     tx = sum(a @ xs @ dag(a) for a in md.pi_ops)
     ty = sum(w @ ys @ dag(w) for w in duals)
     lhs = np.conj(ys @ omega) @ (tx @ omega).T
@@ -91,7 +91,7 @@ def test_kms_duality_forms_no_operator_stack():
     # one (dim A', m, m) stack of products is what the reference forms
     p = build_pipeline(fixtures.random_system(6, 2, 0))
     m = p.can.gns_dim
-    stack = p.can.commutant.dim * m * m * 16
+    stack = p.md.commutant.dim * m * m * 16
     tracemalloc.start()
     modular.kms_duality(p.md, p.dual)
     peak = tracemalloc.get_traced_memory()[1]
