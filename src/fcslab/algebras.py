@@ -42,6 +42,11 @@ def generated_algebra(gens, ambient_dim: int,
     closed under *, so it is the generated *-algebra.  The dimension grows
     in every round but the last, and the closure returns at once when it
     reaches ``ambient_dim**2``.
+
+    The analysis does not call it: :func:`fcslab.systems.canonicalize` takes
+    the generated algebra as the bicommutant {g, g*}'', solving both
+    commutants by :func:`generated_commutant`.  The closure builds it from
+    the words instead and is the reference for that in the tests.
     """
     n = ambient_dim
     letters = as_complex(gens).reshape(-1, n, n)

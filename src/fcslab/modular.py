@@ -90,13 +90,14 @@ def modular_data(can: CanonicalSystem, tol: float = DEFAULT_TOL) -> ModularData:
         "j_squared": float(np.linalg.norm(j.compose(j) - eye)),
         "j_antiunitary": float(np.linalg.norm(j.mat @ dag(j.mat) - eye)),
         "jdj": float(np.linalg.norm(
-            j.sandwich(delta) - pos_power(delta, -1.0))),
+            j.sandwich(delta) - d_minus_half @ d_minus_half)),
         "polar": float(np.linalg.norm(
             j.after_linear(d_half).mat - s.mat)),
     }
-    # S reproduces x -> x* on pi(M) Omega, columns over the basis
-    lhs = s((can.represent(c) @ omega).T)
-    rhs = (can.represent(dag(c)) @ omega).T
+    # S reproduces x -> x* on pi(A) Omega, columns over the basis of pi(A)
+    xs = can.algebra.basis
+    lhs = s((xs @ omega).T)
+    rhs = (dag(xs) @ omega).T
     residuals["conjugation"] = float(np.max(np.linalg.norm(lhs - rhs, axis=0)))
 
     bad = {k: v for k, v in residuals.items() if v > max(tol, 1e-9) * 10}
@@ -198,8 +199,10 @@ def dual_diagnostics(md: ModularData, duals: np.ndarray, word_len: int = 3,
                  "arrays", log_w, log_w, log_w, math.log2(m))
     residuals = {}
     b = md.can.algebra.basis
-    residuals["commutant_membership"] = float(np.max(np.linalg.norm(
-        duals[:, None] @ b - b @ duals[:, None], axis=(-2, -1))))
+    # one letter at a time: a (dim A, m, m) stack is held, not d of them
+    residuals["commutant_membership"] = max(
+        float(np.max(np.linalg.norm(w @ b - b @ w, axis=(-2, -1))))
+        for w in duals)
     residuals["dual_unitality"] = float(np.linalg.norm(
         sum(w @ dag(w) for w in duals) - np.eye(m)
     ))

@@ -103,17 +103,18 @@ def ergodicity(can: systems.CanonicalSystem,
     The eigenvalues are those of ``can.transfer``, the transfer channel on A
     in the basis pi(c) (:class:`fcslab.systems.CanonicalSystem`), an m x m
     matrix filled on C^n.  They are cross-checked against triviality of the
-    center, taken on C^r as that of C = {v_k, v_k*}' (``can.base_commutant``),
-    which is Z(A) as pi is faithful: C intersected with {c, c*}' for a basis
-    c of C.  Disagreement of the two tests is an internal-consistency error.
+    center, taken on C^r as Z(A) = C intersected with A, for C = {v_k,
+    v_k*}' and A = C' as :func:`fcslab.systems.canonicalize` solved them
+    (``can.base_commutant`` and ``can.base_algebra``); pi is faithful, so
+    this is the center of the represented algebra.  Disagreement of the two
+    tests is an internal-consistency error.
     """
     w = np.linalg.eigvals(can.transfer)
     fixed_dim = int(np.sum(np.abs(w - 1.0) <= tol))
     simple = fixed_dim == 1
 
-    c = can.base_commutant
-    center, is_factor = algebras.center_and_factor(
-        c, algebras.generated_commutant(c.basis))
+    center, is_factor = algebras.center_and_factor(can.base_commutant,
+                                                   can.base_algebra)
     if simple != is_factor:
         raise InternalConsistencyError(
             f"ergodicity test (fixed dim {fixed_dim}) disagrees with factor "

@@ -216,14 +216,17 @@ def compress_to_support(sys: KrausSystem, state: InvariantState,
 class CanonicalSystem:
     """System carried to the GNS space of (algebra, phi).
 
-    ``basis_mats`` are the GNS orthonormal basis elements as matrices on the
-    original space, ``pi_ops`` the images of the Kraus family, ``omega`` the
-    cyclic vector (class of the identity), ``algebra`` the image of the
-    generated algebra inside the GNS matrix space, and ``base_commutant`` the
-    commutant {v_k, v_k*}' of the Kraus family in M_n, solved once here for
-    the center of the algebra (Z(A) = Z({v_k, v_k*}')) and the dual
-    identity.  It is not the commutant A' on the GNS space, which is J A J
-    (:attr:`fcslab.modular.ModularData.commutant`).
+    ``base_commutant`` is C = {v_k, v_k*}' in M_n and ``base_algebra`` the
+    generated algebra A = C' in M_n, both solved once here as kernels with
+    n^2 unknowns (:func:`fcslab.algebras.generated_commutant`), A from a
+    basis of C; the center of the algebra is C intersected with A, and the
+    dual identity reads C.  C is not the commutant A' on the GNS space,
+    which is J A J (:attr:`fcslab.modular.ModularData.commutant`).
+    ``basis_mats`` are the GNS orthonormal basis elements c as matrices on
+    the original space, ``pi_ops`` the images of the Kraus family, ``omega``
+    the cyclic vector (class of the identity) and ``algebra`` the image
+    pi(A) inside the GNS matrix space, with the Hilbert-Schmidt orthonormal
+    basis of :func:`canonicalize`.
 
     ``transfer`` is the m x m matrix R of the transfer channel tau(x) =
     sum_k pi(v_k) x pi(v_k)* on the represented algebra, read on vectors:
@@ -239,7 +242,8 @@ class CanonicalSystem:
     omega: np.ndarray = field(repr=False)  # (m,)
     algebra: OperatorSubspace = field(repr=False)
     basis_mats: np.ndarray = field(repr=False)  # (m, n, n)
-    base_commutant: OperatorSubspace = field(repr=False)  # in M_n
+    base_commutant: OperatorSubspace = field(repr=False)  # C, in M_n
+    base_algebra: OperatorSubspace = field(repr=False)  # A = C', in M_n
     transfer: np.ndarray = field(repr=False)  # (m, m)
 
     @property
@@ -273,13 +277,31 @@ def canonicalize(sys: KrausSystem, state: InvariantState,
                  tol: float = DEFAULT_TOL) -> CanonicalSystem:
     """GNS construction for the generated algebra with phi = Tr(rho .).
 
+    The generated algebra is the bicommutant A = C' of C = {v_k, v_k*}':
+    both are solved as kernels with n^2 unknowns, C from the Kraus family
+    and A from a basis of C, so A comes with a Hilbert-Schmidt orthonormal
+    basis b.  (The word closure :func:`fcslab.algebras.generated_algebra`
+    builds the same algebra and is its reference in the tests.)  The GNS
+    basis c is the canonical orthonormalization of b in <x, y>_phi =
+    Tr(rho x* y), refined by one pass of c G(c)^{-1/2}.
+
+    pi(A) needs no orthonormalization on the GNS space.  z = sum_a b_a b_a*
+    does not depend on the orthonormal basis, so it commutes with the
+    unitaries of A: for A = (+)_i M_{k_i} (x) 1_{l_i} it is k_i / l_i on the
+    i-th block, central and positive.  pi is the left regular
+    representation, which holds M_{k_i} with multiplicity k_i, so
+    Tr pi(x) = Tr(x z) on A, and pi(b_a z^{-1/2}) is a Hilbert-Schmidt
+    orthonormal basis of pi(A).
+
     Requires a strictly positive invariant density (run
     :func:`compress_to_support` first); a singular Gram matrix signals a
     support bug upstream and is rejected.
     """
     n = sys.n
     rho = state.rho
-    b = algebras.generated_algebra(list(sys.ops), n).basis  # HS-orthonormal
+    base_commutant = algebras.generated_commutant(sys.ops, tol)
+    base_algebra = algebras.generated_commutant(base_commutant.basis)
+    b = base_algebra.basis  # HS-orthonormal
     gram = _coordinates(rho, b, b).T  # gram[a, b] = <b_a, b_b>_phi
     w, u = herm_eig(gram, tol=1e-8)
     if w[0] <= tol * max(1.0, float(w[-1])):
@@ -293,12 +315,14 @@ def canonicalize(sys: KrausSystem, state: InvariantState,
     # brings it to working precision
     refine = pos_power(_coordinates(rho, c, c).T, -0.5)
     c = np.einsum("ab,aij->bij", refine, c)
-    algebra = OperatorSubspace.from_matrices(_represent(rho, c, c), len(c))
+    z = np.einsum("aij,akj->ik", b, np.conj(b))  # sum_a b_a b_a*
+    algebra = OperatorSubspace(
+        len(c), _represent(rho, c, b @ pos_power(z, -0.5)))
     images = sum(a @ c @ dag(a) for a in sys.ops)  # sum_k v_k c_j v_k*
     return CanonicalSystem(
         base=sys, state=state, pi_ops=_represent(rho, c, sys.ops),
         omega=_coordinates(rho, c, np.eye(n)), algebra=algebra, basis_mats=c,
-        base_commutant=algebras.generated_commutant(sys.ops, tol),
+        base_commutant=base_commutant, base_algebra=base_algebra,
         transfer=_coordinates(rho, c, images).T,
     )
 

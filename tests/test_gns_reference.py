@@ -6,8 +6,13 @@ below evaluate them one basis element at a time: pi(x) by the four-operand
 einsum, Tomita's S one column at a time, Omega by traces, the duals one
 Kraus operator at a time, commutant membership one (dual, basis) pair at a
 time, and the transfer matrix on the basis pi(c) through the m^2 x m^2
-superoperator of the transfer channel on the GNS space.  They serve only as
-small-m oracles.
+superoperator of the transfer channel on the GNS space.  The Hilbert-Schmidt
+basis pi(b_a z^{-1/2}) of the represented algebra is compared with the SVD
+of the stack pi(c), and the generated algebra A = C' on the support with the
+word closure ``algebras.generated_algebra``.  They serve only as small-m
+oracles.  Besides the fixtures, the seeded systems and the block sums, the
+inputs include algebras with multiplicity, M_k (x) 1_l blocks, where z =
+sum_a b_a b_a* is k / l on each block and not a multiple of 1.
 """
 
 import numpy as np
@@ -15,11 +20,34 @@ import pytest
 
 from conftest import build_pipeline
 from fcslab import algebras, fixtures, modular, purity, systems
-from fcslab.linalg import OperatorSubspace, dag, subspace_contains, unvec, vec
+from fcslab.linalg import (OperatorSubspace, dag, subspace_contains,
+                           subspace_equal, unvec, vec)
+from fcslab.systems import KrausSystem
+from test_commutant_reference import CASES
 
 FIXTURES = ("aklt", "bernoulli-uniform", "bernoulli-basis", "nonergodic-z2",
             "two-block", "period-two")
 TOL = 1e-13
+
+
+def with_multiplicity(sys_, copies):
+    """The system v_k (x) 1_copies: its algebra is M_n (x) 1_copies."""
+    eye = np.eye(copies)
+    return KrausSystem(np.stack([np.kron(a, eye) for a in sys_.ops]))
+
+
+# z = sum_a b_a b_a* has the eigenvalues {1.5}, {1.5, 2} and {2/3, 2}
+MULTIPLICITY = {
+    "u(x)1_2": lambda: with_multiplicity(fixtures.random_system(3, 2, 31), 2),
+    "v(+)u(x)1_2": lambda: fixtures.block_sum(
+        fixtures.random_system(2, 2, 32),
+        with_multiplicity(fixtures.random_system(3, 2, 33), 2)),
+    "u(x)1_3(+)v": lambda: fixtures.block_sum(
+        with_multiplicity(fixtures.random_system(2, 2, 34), 3),
+        fixtures.random_system(2, 2, 35)),
+}
+MULTIPLICITY_Z = {"u(x)1_2": [1.5], "v(+)u(x)1_2": [1.5, 2.0],
+                  "u(x)1_3(+)v": [2 / 3, 2.0]}
 
 
 def reference_pi(rho, c, x):
@@ -59,7 +87,10 @@ def deviations(p):
     erg = purity.ergodicity(can)
     assert erg.fixed_dim_in_algebra == int(np.sum(np.abs(ref_w - 1.0) <= 1e-8))
     gram = np.stack([[np.trace(rho @ dag(a) @ b) for b in c] for a in c])
+    rows = can.algebra.rows
     return {
+        "algebra_orthonormal": np.max(np.abs(
+            np.conj(rows) @ rows.T - np.eye(can.algebra.dim))),
         "gram": np.max(np.abs(gram - np.eye(m))),
         "pi_ops": np.max(np.abs(can.pi_ops - np.stack(
             [reference_pi(rho, c, a) for a in p.comp_sys.ops]))),
@@ -97,6 +128,30 @@ def test_block_sum():
     p = build_pipeline(sys_)
     assert p.can.gns_dim == 18
     assert_close(p, "3+3 block sum")
+
+
+@pytest.mark.parametrize("label", MULTIPLICITY)
+def test_algebras_with_multiplicity(label):
+    p = build_pipeline(MULTIPLICITY[label]())
+    b = p.can.base_algebra.basis
+    z = np.linalg.eigvalsh(np.einsum("aij,akj->ik", b, np.conj(b)))
+    assert np.allclose(np.unique(np.round(z, 9)), MULTIPLICITY_Z[label])
+    assert_close(p, label)
+
+
+@pytest.mark.parametrize("label", {**CASES, **MULTIPLICITY})
+def test_base_algebra_matches_the_word_closure(label):
+    # A = C' from the commutant solver against the closure of the words in
+    # {v_k, v_k*} on the support
+    p = build_pipeline({**CASES, **MULTIPLICITY}[label]())
+    ops = p.comp_sys.ops
+    closure = algebras.generated_algebra(list(ops), p.comp_sys.n)
+    base = p.can.base_algebra
+    ok, angle = subspace_equal(base, closure)
+    assert base.dim == closure.dim == p.can.gns_dim
+    assert ok and angle <= 1e-12, angle
+    assert np.max(np.abs(np.conj(base.rows) @ base.rows.T
+                         - np.eye(base.dim))) <= 1e-12
 
 
 def test_basis_orthonormal_under_perturbed_density():

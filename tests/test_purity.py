@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcslab import algebras, chain, fixtures, modular, purity, systems
+from fcslab import algebras, chain, fixtures, linalg, modular, purity, systems
 from fcslab.systems import KrausSystem
 
 
@@ -78,12 +78,15 @@ class TestBattery:
     def test_commutant_and_transfer_spectrum_computed_once(self, name,
                                                             monkeypatch):
         # A' = J A J comes from the modular data, so the twirl is never run;
-        # {v_k, v_k*}' is solved once and shared by the center and the dual
-        # identity, and the mixing proxy is read off the reported spectrum
+        # canonicalize solves C = {v_k, v_k*}' and A = C' once each, as
+        # kernels on C^r, and the center and the dual identity read them; the
+        # word closure and the orthonormalization of a represented basis are
+        # never run, and the mixing proxy is read off the reported spectrum
         sys_ = fixtures.aklt() if name == "aklt" else fixtures.block_sum(
             fixtures.random_system(3, 2, 21), fixtures.random_system(3, 2, 22))
-        calls = {"commutant": 0, "psd_range": 0, "transfer_super": 0}
-        gens, ambients = [], []
+        calls = {"commutant": 0, "psd_range": 0, "transfer_super": 0,
+                 "generated_algebra": 0, "orthonormalize_matrices": 0}
+        gens, ambients, stage = [], [], ["battery"]
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -97,23 +100,51 @@ class TestBattery:
                 return fn(*args, **kwargs)
             return wrapper
 
+        def staged(label, fn):
+            def wrapper(*args, **kwargs):
+                stage.append(label)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    stage.pop()
+            return wrapper
+
         monkeypatch.setattr(algebras, "commutant",
                             counted("commutant", algebras.commutant))
         monkeypatch.setattr(algebras, "psd_range",
                             counted("psd_range", algebras.psd_range))
         monkeypatch.setattr(KrausSystem, "transfer_super",
                             counted("transfer_super", KrausSystem.transfer_super))
+        monkeypatch.setattr(algebras, "generated_algebra", counted(
+            "generated_algebra", algebras.generated_algebra))
+        orthonormalize = counted("orthonormalize_matrices",
+                                 linalg.orthonormalize_matrices)
+        for module in (linalg, algebras):
+            monkeypatch.setattr(module, "orthonormalize_matrices",
+                                orthonormalize)
         monkeypatch.setattr(algebras, "generated_commutant", recorded(
-            gens, algebras.generated_commutant, np.copy))
+            gens, algebras.generated_commutant,
+            lambda g: (stage[-1], np.copy(g))))
         monkeypatch.setattr(algebras, "subspace_intersection", recorded(
             ambients, algebras.subspace_intersection, lambda a: a.ambient_dim))
+        monkeypatch.setattr(systems, "canonicalize",
+                            staged("canonicalize", systems.canonicalize))
+        monkeypatch.setattr(purity, "ergodicity",
+                            staged("ergodicity", purity.ergodicity))
         rep = purity.purity_battery(sys_)
-        assert calls == {"commutant": 0, "psd_range": 0, "transfer_super": 1}
-        ops = rep.pipeline.comp_sys.ops
-        assert sum(g.shape == ops.shape and np.array_equal(g, ops)
-                   for g in gens) == 1
+        assert calls == {"commutant": 0, "psd_range": 0, "transfer_super": 1,
+                         "generated_algebra": 0, "orthonormalize_matrices": 0}
+        can = rep.pipeline.can
+        ops = can.base.ops
+        assert np.array_equal(ops, rep.pipeline.comp_sys.ops)
+        solved = [g for label, g in gens if label == "canonicalize"]
+        assert len(solved) == 2
+        assert np.array_equal(solved[0], ops)
+        assert np.array_equal(solved[1], can.base_commutant.basis)
+        assert not any(label == "ergodicity" for label, _ in gens)
         # the one intersection is the center, on C^r and not the GNS space
         assert ambients == [rep.pipeline.comp_sys.n]
+        assert can.base_algebra.ambient_dim == rep.pipeline.comp_sys.n
         assert rep.gns_dim > rep.pipeline.comp_sys.n
 
     @pytest.mark.parametrize("name", ["aklt", "3+3"])
