@@ -59,14 +59,15 @@ def pipeline(sys: systems.KrausSystem, tol: float = 1e-9) -> Pipeline:
     search = systems.invariant_states(sys, tol=tol)
     comp_sys, comp_state, _ = systems.compress_to_support(
         sys, search.mean_state, tol=tol)
-    # the state is faithful on the compressed system by construction, so a
-    # Gram matrix that canonicalize refuses as singular is the pipeline's
-    # own support cut disagreeing with that refusal, not a fault of the input
+    # the state is faithful on the compressed system by construction and the
+    # letters generate the algebra, so a Gram matrix that canonicalize
+    # refuses as singular, or letters it finds outside the algebra it solved,
+    # is the pipeline disagreeing with itself, not a fault of the input
     try:
         can = systems.canonicalize(comp_sys, comp_state, tol=tol)
     except systems.ValidationError as exc:
         raise InternalConsistencyError(
-            f"canonicalize refused the pipeline's own support compression: "
+            f"canonicalize refused the pipeline's own compressed system: "
             f"{exc}") from None
     md = modular.modular_data(can, tol=tol)
     dual = modular.dual_system(md, tol=tol)

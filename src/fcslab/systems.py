@@ -26,6 +26,8 @@ import numpy as np
 from . import algebras
 from .linalg import (
     DEFAULT_TOL,
+    KERNEL_TOL,
+    SUBSPACE_TOL,
     OperatorSubspace,
     as_complex,
     dag,
@@ -33,6 +35,7 @@ from .linalg import (
     from_frame,
     herm_eig,
     kernel_rank,
+    outside_component,
     pos_power,
     to_frame,
 )
@@ -285,6 +288,14 @@ def canonicalize(sys: KrausSystem, state: InvariantState,
     basis c is the canonical orthonormalization of b in <x, y>_phi =
     Tr(rho x* y), refined by one pass of c G(c)^{-1/2}.
 
+    The C that A is solved from is taken at the kernel tolerance whatever
+    ``tol`` is: a C solved at a looser ``tol`` may hold elements that only
+    nearly commute with the letters, and its commutant would then miss part
+    of them.  C' itself is solved at the subspace tolerance, as C's basis
+    carries the rounding of its own solve, amplified by the gap to the
+    nearest commuting direction.  Letters outside A are refused, since pi
+    would drop that part of them.
+
     pi(A) needs no orthonormalization on the GNS space.  z = sum_a b_a b_a*
     does not depend on the orthonormal basis, so it commutes with the
     unitaries of A: for A = (+)_i M_{k_i} (x) 1_{l_i} it is k_i / l_i on the
@@ -300,7 +311,17 @@ def canonicalize(sys: KrausSystem, state: InvariantState,
     n = sys.n
     rho = state.rho
     base_commutant = algebras.generated_commutant(sys.ops, tol)
-    base_algebra = algebras.generated_commutant(base_commutant.basis)
+    kernel_commutant = (base_commutant if tol == KERNEL_TOL
+                        else algebras.generated_commutant(sys.ops))
+    base_algebra = algebras.generated_commutant(kernel_commutant.basis,
+                                                SUBSPACE_TOL)
+    letters = sys.ops.reshape(sys.d, n * n).T
+    outside = np.linalg.norm(outside_component(letters, base_algebra), axis=0)
+    if np.any(outside > SUBSPACE_TOL * np.maximum(
+            1.0, np.linalg.norm(letters, axis=0))):
+        raise ValidationError(
+            f"the letters lie outside the algebra solved as C' (residual "
+            f"{outside.max():.3e})")
     b = base_algebra.basis  # HS-orthonormal
     gram = _coordinates(rho, b, b).T  # gram[a, b] = <b_a, b_b>_phi
     w, u = herm_eig(gram, tol=1e-8)

@@ -11,6 +11,7 @@ import pytest
 
 from fcslab import fixtures
 from fcslab.purity import pipeline as build_pipeline
+from fcslab.systems import KrausSystem
 
 ACCEPTANCE_RESULTS = []
 
@@ -30,6 +31,20 @@ def word_operator(ops, word) -> np.ndarray:
     for k in word:
         m = m @ ops[k]
     return m
+
+
+def near_commuting(eps: float) -> KrausSystem:
+    """Two random 2 x 2 blocks coupled by a rotation exp(i eps h): the letters
+    generate all of M_4, but the block projection commutes with them up to
+    about eps, so a commutant solved at a tolerance above eps holds it."""
+    base = fixtures.block_sum(fixtures.random_system(2, 2, 21),
+                              fixtures.random_system(2, 2, 22))
+    h = np.zeros((4, 4))
+    h[0, 2] = h[2, 0] = 1.0
+    h[1, 3] = h[3, 1] = 0.5
+    w, v = np.linalg.eigh(h)
+    u = (v * np.exp(1j * eps * w)) @ v.conj().T
+    return KrausSystem(u @ base.ops)
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import near_commuting
 from fcslab import cli, modular, serialize, fixtures, systems
 
 
@@ -358,6 +359,21 @@ def test_amplitude_damping_near_the_singular_limit_passes(tmp_path, eps,
     doc = json.loads(out.read_text())
     assert ("twosided" in doc) == (not extra)
     assert max(doc["residuals"].values()) <= 1e-8, doc["residuals"]
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-8])
+def test_loose_tol_on_a_near_commuting_family(tmp_path, eps):
+    # at --tol 1e-4 the commutant holds the block projection, which commutes
+    # with the letters only up to about eps, so the center read from it is
+    # not trivial; the GNS algebra is still the whole of M_4 that the
+    # letters generate
+    path, out = tmp_path / "nc.json", tmp_path / "r.json"
+    path.write_text(serialize.dumps_system(near_commuting(eps)))
+    assert run(["analyze", str(path), "--tol", "1e-4", "--no-amalgam",
+                "-o", str(out)]) == cli.EXIT_OK
+    doc = json.loads(out.read_text())
+    assert not doc["is_factor"]
+    assert doc["gns_dim"] == 16
 
 
 def test_singular_modular_operator_is_an_internal_failure(tmp_path, capsys):

@@ -78,15 +78,17 @@ class TestBattery:
     def test_commutant_and_transfer_spectrum_computed_once(self, name,
                                                             monkeypatch):
         # A' = J A J comes from the modular data, so the twirl is never run;
-        # canonicalize solves C = {v_k, v_k*}' and A = C' once each, as
-        # kernels on C^r, and the center and the dual identity read them; the
-        # word closure and the orthonormalization of a represented basis are
-        # never run, and the mixing proxy is read off the reported spectrum
+        # the battery solves three commutants on C^r, in order: C = {v_k,
+        # v_k*}' in canonicalize, A = C' from C's basis, and {x_k, x_k*}' in
+        # the dual identity.  The center reads C and A, so the letters' C is
+        # solved once; the word closure and the orthonormalization of a
+        # represented basis are never run, and the mixing proxy is read off
+        # the reported spectrum
         sys_ = fixtures.aklt() if name == "aklt" else fixtures.block_sum(
             fixtures.random_system(3, 2, 21), fixtures.random_system(3, 2, 22))
         calls = {"commutant": 0, "psd_range": 0, "transfer_super": 0,
                  "generated_algebra": 0, "orthonormalize_matrices": 0}
-        gens, ambients, stage = [], [], ["battery"]
+        gens, ambients = [], []
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -98,15 +100,6 @@ class TestBattery:
             def wrapper(*args, **kwargs):
                 store.append(read(args[0]))
                 return fn(*args, **kwargs)
-            return wrapper
-
-        def staged(label, fn):
-            def wrapper(*args, **kwargs):
-                stage.append(label)
-                try:
-                    return fn(*args, **kwargs)
-                finally:
-                    stage.pop()
             return wrapper
 
         monkeypatch.setattr(algebras, "commutant",
@@ -123,29 +116,25 @@ class TestBattery:
             monkeypatch.setattr(module, "orthonormalize_matrices",
                                 orthonormalize)
         monkeypatch.setattr(algebras, "generated_commutant", recorded(
-            gens, algebras.generated_commutant,
-            lambda g: (stage[-1], np.copy(g))))
+            gens, algebras.generated_commutant, np.copy))
         monkeypatch.setattr(algebras, "subspace_intersection", recorded(
             ambients, algebras.subspace_intersection, lambda a: a.ambient_dim))
-        monkeypatch.setattr(systems, "canonicalize",
-                            staged("canonicalize", systems.canonicalize))
-        monkeypatch.setattr(purity, "ergodicity",
-                            staged("ergodicity", purity.ergodicity))
         rep = purity.purity_battery(sys_)
         assert calls == {"commutant": 0, "psd_range": 0, "transfer_super": 1,
                          "generated_algebra": 0, "orthonormalize_matrices": 0}
-        can = rep.pipeline.can
-        ops = can.base.ops
-        assert np.array_equal(ops, rep.pipeline.comp_sys.ops)
-        solved = [g for label, g in gens if label == "canonicalize"]
-        assert len(solved) == 2
-        assert np.array_equal(solved[0], ops)
-        assert np.array_equal(solved[1], can.base_commutant.basis)
-        assert not any(label == "ergodicity" for label, _ in gens)
+        p = rep.pipeline
+        ops, n = p.comp_sys.ops, p.comp_sys.n
+        assert sum(g.shape == ops.shape and np.array_equal(g, ops)
+                   for g in gens) == 1
+        assert len(gens) == 3
+        assert np.array_equal(gens[0], ops)
+        assert np.array_equal(gens[1], p.can.base_commutant.basis)
+        assert np.array_equal(
+            gens[2], purity.dual_generators(p.md, p.dual.ops))
         # the one intersection is the center, on C^r and not the GNS space
-        assert ambients == [rep.pipeline.comp_sys.n]
-        assert can.base_algebra.ambient_dim == rep.pipeline.comp_sys.n
-        assert rep.gns_dim > rep.pipeline.comp_sys.n
+        assert ambients == [n]
+        assert p.can.base_algebra.ambient_dim == n
+        assert rep.gns_dim > n
 
     @pytest.mark.parametrize("name", ["aklt", "3+3"])
     def test_no_word_operator_table_is_built(self, name, monkeypatch):

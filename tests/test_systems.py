@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import word_operator
+from conftest import near_commuting, word_operator
 from fcslab import fixtures, systems
 from fcslab.linalg import dag
 
@@ -144,6 +144,17 @@ class TestCanonicalize:
         got = np.conj(can.omega) @ (can.represent(x) @ can.omega)
         want = np.trace(state.rho @ x)
         assert abs(got - want) < 1e-10
+
+    def test_letters_outside_the_algebra_are_refused(self, monkeypatch):
+        # with the kernel tolerance loosened to tol, C holds the block
+        # projection, A = C' is the block algebra, and the letters lie
+        # outside it by about 1e-6
+        sys_ = near_commuting(1e-6)
+        search = systems.invariant_states(sys_)
+        comp, state, _ = systems.compress_to_support(sys_, search.mean_state)
+        monkeypatch.setattr(systems, "KERNEL_TOL", 1e-4)
+        with pytest.raises(systems.ValidationError, match="outside"):
+            systems.canonicalize(comp, state, tol=1e-4)
 
     def test_faithfulness_required(self):
         sys_ = fixtures.two_block()
