@@ -156,8 +156,8 @@ def _print_summary(report, two_doc) -> None:
     print(f"ergodic                : {report.is_ergodic}", file=err)
     res = report.residuals
     print(f"fixed(transfer) = commutant : {report.support_identity_ok} "
-          f"(density invariance {res['support_density_invariance']:.2e}, "
-          f"commutant fixed to {res['commutant_in_fixed']:.2e})", file=err)
+          f"(density invariance {res['support_density_invariance']:.2e})",
+          file=err)
     if report.dual_identity_ok is None:
         print("fixed(dual) = algebra  : n/a (state not ergodic)", file=err)
     else:

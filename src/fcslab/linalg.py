@@ -245,9 +245,6 @@ class AntilinearOp:
     def __call__(self, xi: np.ndarray) -> np.ndarray:
         return self.mat @ np.conj(xi)
 
-    def adjoint(self) -> "AntilinearOp":
-        return AntilinearOp(self.mat.T)
-
     def compose(self, other: "AntilinearOp") -> np.ndarray:
         """A o B for antilinear A, B: a linear operator (plain matrix)."""
         return self.mat @ np.conj(other.mat)

@@ -1,12 +1,13 @@
 """Modular data on the GNS space and the dual Kraus family.
 
 Given a canonical system (cyclic and separating vector Omega), this module
-builds the closure S of ``x Omega -> x* Omega``, its polar decomposition
-``S = J Delta^{1/2}``, the modular group ``sigma_z(x) = Delta^{iz} x
-Delta^{-iz}``, the commutant J A J of the represented algebra, and the dual
-operators ``w_k = J sigma_{i/2}(pi(v_k)*) J`` living in it.  Every identity
-the duals must satisfy is checked numerically; a failed identity aborts the
-construction.
+builds the closure S of ``x Omega -> x* Omega`` and, in the standard form
+read off the density on the support, J and Delta with ``S = J
+Delta^{1/2}``, the modular group ``sigma_z(x) = Delta^{iz} x Delta^{-iz}``,
+the commutant J A J of the represented algebra, and the dual operators
+``w_k = J sigma_{i/2}(pi(v_k)*) J`` living in it.  Every identity of the
+modular data and of the duals is checked numerically; a failed identity
+aborts the construction.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .linalg import (
     as_complex,
     dag,
     frame_super,
+    outside_component,
     pos_power,
 )
 from .systems import (CanonicalSystem, check_budget, log2_word_count,
@@ -39,13 +41,13 @@ class DualConstructionError(ModularError):
 
 @dataclass(frozen=True)
 class ModularData:
-    """Tomita data of a canonical system: S, Delta = S* S and J = S
-    Delta^{-1/2}.  ``d_half`` and ``d_minus_half`` are the powers
-    Delta^{1/2} and Delta^{-1/2} that :func:`modular_data` takes once to
-    build J and check the polar decomposition; the analytic continuation
-    sigma_{i/2} behind the duals reads them instead of diagonalizing Delta
-    again.  ``commutant`` is A' = J A J (Tomita; Bratteli & Robinson, Thm
-    2.5.14), its basis HS-orthonormal as J is antiunitary."""
+    """Tomita data of a canonical system: S, and Delta and J = S
+    Delta^{-1/2} in standard form (:func:`modular_data`).  ``d_half`` and
+    ``d_minus_half`` are Delta^{+-1/2}, read by the analytic continuation
+    sigma_{i/2} behind the duals.  ``commutant`` is A' = J A J (Tomita;
+    Bratteli & Robinson, Thm 2.5.14) with an HS-orthonormal basis, built on
+    access for the tests: in standard form J x J is a right multiplication,
+    so J A J lies in A' by associativity and the battery needs no basis."""
 
     can: CanonicalSystem
     s: AntilinearOp = field(repr=False)
@@ -54,7 +56,6 @@ class ModularData:
     residuals: dict = field(repr=False)
     d_half: np.ndarray = field(repr=False)
     d_minus_half: np.ndarray = field(repr=False)
-    commutant: OperatorSubspace = field(repr=False)
 
     @property
     def gns_dim(self) -> int:
@@ -68,18 +69,38 @@ class ModularData:
     def omega(self) -> np.ndarray:
         return self.can.omega
 
+    @property
+    def commutant(self) -> OperatorSubspace:
+        return OperatorSubspace(self.gns_dim,
+                                self.j.sandwich(self.can.algebra.basis))
+
+
+def _algebra_density(can: CanonicalSystem) -> np.ndarray:
+    """rho_A, the Hilbert-Schmidt projection of rho onto the generated
+    algebra: it lies in A and Tr(rho_A x) = Tr(rho x) for x in A."""
+    rho = can.state.rho
+    return rho - outside_component(rho.reshape(-1, 1),
+                                   can.base_algebra).reshape(rho.shape)
+
 
 def modular_data(can: CanonicalSystem, tol: float = DEFAULT_TOL) -> ModularData:
-    """Tomita data (S, Delta, J) for the canonical system, and A' = J A J."""
+    """Tomita data (S, Delta, J) for the canonical system.
+
+    The GNS space is A with <x, y> = Tr(rho_A x* y) (:func:`_algebra_density`),
+    and the standard form gives J x = rho_A^{1/2} x* rho_A^{-1/2} and
+    Delta^{+-1/2} x = rho_A^{+-1/2} x rho_A^{-+1/2}; each is one coordinate
+    call on r x r products, and Delta = (Delta^{1/2})^2.  The residuals
+    check this construction against S, the coordinates of the c_j*.
+    """
     c = can.basis_mats
     # S e_j = coordinates of c_j*
     s = AntilinearOp(can.coordinates(dag(c)).T)
-
-    delta = s.adjoint().compose(s)  # linear, = mat_S^T conj(mat_S)
-    delta = (delta + dag(delta)) / 2
-    d_half = pos_power(delta, 0.5)
-    d_minus_half = pos_power(delta, -0.5)
-    j = s.after_linear(d_minus_half)  # J = S o Delta^{-1/2}
+    rho_a = _algebra_density(can)
+    half, minus_half = pos_power(rho_a, 0.5), pos_power(rho_a, -0.5)
+    j = AntilinearOp(can.coordinates(half @ dag(c) @ minus_half).T)
+    d_half = can.coordinates(half @ c @ minus_half).T
+    d_minus_half = can.coordinates(minus_half @ c @ half).T
+    delta = d_half @ d_half
 
     omega = can.omega
     eye = np.eye(can.gns_dim)
@@ -104,9 +125,7 @@ def modular_data(can: CanonicalSystem, tol: float = DEFAULT_TOL) -> ModularData:
     if bad:
         raise ModularError(f"modular identities failed: {bad}")
     return ModularData(can=can, s=s, delta=delta, j=j, residuals=residuals,
-                       d_half=d_half, d_minus_half=d_minus_half,
-                       commutant=OperatorSubspace(
-                           can.gns_dim, j.sandwich(can.algebra.basis)))
+                       d_half=d_half, d_minus_half=d_minus_half)
 
 
 def sigma(md: ModularData, x: np.ndarray, z: complex,
@@ -241,26 +260,25 @@ def kms_duality(md: ModularData, dual: DualSystem,
     """Residual of the channel duality <y Omega, tau(x) Omega> =
     <tau~(y) Omega, x Omega>, tau(x) = sum_k pi(v_k) x pi(v_k)* and
     tau~(y) = sum_k w_k y w_k*, over all basis pairs x in the algebra, y in
-    its commutant: the largest entry of the difference of two Gram matrices.
-    The commutant is J A J (:attr:`ModularData.commutant`).
+    its commutant J A J: the largest entry of the difference of two Gram
+    matrices.
 
-    Only vectors are formed.  With the rows x Omega and y Omega of the two
-    bases, tau(x) Omega = R x Omega for the canonical system's transfer
-    matrix R, and tau~(y) Omega = sum_k w_k (y (w_k* Omega)), so each side
-    is a product of (dim, m) vector stacks and no operator product of a
-    basis is taken.
+    Only vectors are formed, and J is applied to them: y = J x J over the
+    basis of A has y Omega = J x Omega and y u = J x J u.  tau(x) Omega = R x
+    Omega for the canonical system's transfer matrix R, and tau~(y) Omega =
+    sum_k w_k (y (w_k* Omega)), so each side is a product of (dim, m)
+    vector stacks and no operator product of a basis is taken.
 
     A residual above ``10 * max(tol, 1e-9)`` raises
     :class:`DualConstructionError`.
     """
-    duals = dual.ops
-    omega = md.omega
-    x_omega = md.can.algebra.basis @ omega
-    ys = md.commutant.basis
-    w_omega = dag(duals) @ omega  # (d, m): w_k* Omega
-    # (ys @ w_omega.T)[y, b, k] = (y w_k* Omega)_b, contracted with w_k
-    ty_omega = np.tensordot(ys @ w_omega.T, duals, axes=([1, 2], [2, 0]))
-    lhs = np.conj(ys @ omega) @ md.can.transfer @ x_omega.T
+    duals, j = dual.ops, md.j
+    xs = md.can.algebra.basis
+    x_omega = xs @ md.omega
+    # yu[y, b, k] = (y w_k* Omega)_b, contracted with w_k
+    yu = j.mat @ np.conj(xs @ j((dag(duals) @ md.omega).T))
+    ty_omega = np.tensordot(yu, duals, axes=([1, 2], [2, 0]))
+    lhs = np.conj(j(x_omega.T).T) @ md.can.transfer @ x_omega.T
     rhs = np.conj(ty_omega) @ x_omega.T
     res = float(np.max(np.abs(lhs - rhs)))
     if res > max(tol, 1e-9) * 10:

@@ -351,8 +351,9 @@ def _amplitude_damping(eps, gamma=0.5):
 @pytest.mark.parametrize("extra", [[], ["--no-amalgam"]])
 def test_amplitude_damping_near_the_singular_limit_passes(tmp_path, eps,
                                                           extra):
-    # the commutant J A J inherits the conditioning of J, which worsens as
-    # eps -> 0; short of the exit-4 cases below every residual stays small
+    # J and Delta, read off rho = diag(1 - eps, eps), inherit its
+    # conditioning, which worsens as eps -> 0; short of the exit-4 cases
+    # below every residual stays small
     path, out = tmp_path / "gad.json", tmp_path / "r.json"
     path.write_text(serialize.dumps_system(_amplitude_damping(eps)))
     assert run(["analyze", str(path), "-o", str(out)] + extra) == cli.EXIT_OK
@@ -377,11 +378,11 @@ def test_loose_tol_on_a_near_commuting_family(tmp_path, eps):
 
 
 def test_singular_modular_operator_is_an_internal_failure(tmp_path, capsys):
-    # at eps = 1e-8 the modular operator is singular to working precision and
-    # its inverse square root is refused inside linalg; at eps = 5e-10 the
-    # support compression keeps the eps eigenvalue and canonicalize refuses
-    # the Gram matrix it gives, which is the pipeline disagreeing with
-    # itself, not an invalid input
+    # at eps = 1e-8 Delta has condition number 1e16 and the modular identity
+    # J Delta J = Delta^{-1} misses its threshold (jdj reads 4.5e-8); at
+    # eps = 5e-10 the support compression keeps the eps eigenvalue and
+    # canonicalize refuses the Gram matrix it gives, which is the pipeline
+    # disagreeing with itself, not an invalid input
     for eps in (1e-8, 5e-10):
         path = tmp_path / "gad.json"
         path.write_text(serialize.dumps_system(_amplitude_damping(eps)))

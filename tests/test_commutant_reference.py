@@ -1,13 +1,14 @@
 """A' = J A J and the center on C^r against the twirl on the GNS space.
 
-The battery takes the commutant of the represented algebra A in closed form,
-as J A J from the modular data (``modular.ModularData.commutant``), and the
-center of A on the support C^r, as the center of {v_k, v_k*}'
-(``purity.ergodicity``).  The oracle is the path they replaced: the range of
-the twirl on the m^2-dimensional matrix space of the GNS space
-(``algebras.commutant``) and its intersection with A there.  The amplitude-
-damping sweep approaches the singular modular operator of eps = 1e-8, where
-J is ill-conditioned, so its angle bound is looser.
+The commutant of the represented algebra A is J A J in closed form
+(``modular.ModularData.commutant``, built on access; the battery applies J
+to vectors only), and the battery takes the center of A on the support
+C^r, as the center of {v_k, v_k*}' (``purity.ergodicity``).  The oracle is
+the path they replaced: the range of the twirl on the m^2-dimensional
+matrix space of the GNS space (``algebras.commutant``) and its intersection
+with A there.  The amplitude-damping sweep approaches the singular modular
+operator of eps = 1e-8, where J is ill-conditioned, so its angle bound is
+looser.
 """
 
 import numpy as np
@@ -38,11 +39,12 @@ SWEEP = {f"amplitude-damping-{eps:g}": lambda eps=eps: _amplitude_damping(eps)
 def test_jaj_and_base_center_match_the_twirl(label, bound):
     p = build_pipeline({**CASES, **SWEEP}[label]())
     twirl = algebras.commutant(p.can.algebra)
-    ok, angle = subspace_equal(p.md.commutant, twirl)
-    assert ok and p.md.commutant.dim == twirl.dim and angle <= bound, angle
+    jaj = p.md.commutant
+    ok, angle = subspace_equal(jaj, twirl)
+    assert ok and jaj.dim == twirl.dim and angle <= bound, angle
     # J is antiunitary, so J A J keeps the orthonormal basis of A, up to
     # the conditioning of J
-    gram = np.conj(p.md.commutant.rows) @ p.md.commutant.rows.T
+    gram = np.conj(jaj.rows) @ jaj.rows.T
     assert np.max(np.abs(gram - np.eye(twirl.dim))) <= bound
     center, _ = algebras.center_and_factor(p.can.algebra, twirl)
     assert purity.ergodicity(p.can).center_dim == center.dim

@@ -8,9 +8,13 @@ commutants in M_r (``purity.dual_identity``).  The oracle solves both fixed
 spaces as kernels of m^2 x m^2 matrices on the GNS space:
 ``algebras.channel_fixed_points`` and the kernel of the ``dual_channel``
 frame matrix minus 1.
+
+With J in standard form, J A J lies in A' by construction and the battery
+no longer sweeps the transfer channel over it; the negative control below
+builds J and Delta^{+-1/2} from a wrong density instead, which the modular
+identities must refuse.
 """
 
-import dataclasses
 import functools
 
 import numpy as np
@@ -142,17 +146,32 @@ def test_lemma_rejects_a_non_unital_family():
         algebras.fixed_point_lemma(dag(v), np.eye(v.shape[-1]))
 
 
-def test_algebra_as_commutant_is_an_internal_failure(monkeypatch):
-    # with A in place of A' = J A J the support identity must fail: on
-    # random_system(3, 2, 1) the algebra is M_3, whose image under the
-    # ergodic transfer channel is not itself
-    real = modular.modular_data
+WRONG_DENSITIES = {
+    "flat": lambda rho, g: np.eye(len(rho)) / len(rho),
+    "squared": lambda rho, g: rho @ rho,
+    "perturbed": lambda rho, g: rho + 1e-6 * g,
+    # rho^{-1} puts rho^{-1/2} where rho^{1/2} belongs, and vice versa
+    "sides-swapped": lambda rho, g: np.linalg.inv(rho),
+}
 
-    def swapped(can, *args, **kwargs):
-        md = real(can, *args, **kwargs)
-        return dataclasses.replace(md, commutant=md.can.algebra)
 
-    monkeypatch.setattr(modular, "modular_data", swapped)
-    with pytest.raises(purity.InternalConsistencyError,
-                       match="does not fix the commutant"):
-        purity.purity_battery(fixtures.random_system(3, 2, 1))
+@pytest.mark.parametrize("wrong", WRONG_DENSITIES)
+@pytest.mark.parametrize("label", ["seed0-4x2", "3+3-d2"])
+def test_standard_form_from_a_wrong_density_is_refused(label, wrong,
+                                                       monkeypatch):
+    # J and Delta^{+-1/2} read off a density other than rho_A still satisfy
+    # J^2 = 1 and J Delta^{1/2} = S, but J is no longer antiunitary for the
+    # GNS inner product: the modular identities refuse it at their usual
+    # threshold (j_antiunitary reads 1e-4 to 2e3 on these rows)
+    sys_ = (fixtures.random_system(4, 2, 0) if label == "seed0-4x2"
+            else SYSTEMS[label]())
+    can = build_pipeline(sys_).can
+    rho = modular._algebra_density(can)
+    rng = np.random.default_rng(0)
+    g = rng.normal(size=rho.shape) + 1j * rng.normal(size=rho.shape)
+    b = can.base_algebra.rows  # the perturbation is kept inside A
+    g = (b.T @ (np.conj(b) @ (g + dag(g)).reshape(-1))).reshape(rho.shape)
+    monkeypatch.setattr(modular, "_algebra_density",
+                        lambda _: WRONG_DENSITIES[wrong](rho, g))
+    with pytest.raises(modular.ModularError, match="j_antiunitary"):
+        modular.modular_data(can)

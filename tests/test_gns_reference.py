@@ -13,6 +13,11 @@ word closure ``algebras.generated_algebra``.  They serve only as small-m
 oracles.  Besides the fixtures, the seeded systems and the block sums, the
 inputs include algebras with multiplicity, M_k (x) 1_l blocks, where z =
 sum_a b_a b_a* is k / l on each block and not a multiple of 1.
+
+The modular data in standard form, J and Delta^{+-1/2} read off the density
+on the support, is compared with the generic polar decomposition of S it
+replaced: Delta = S* S, its Hermitian part, its powers +-1/2 by
+eigendecomposition, and J = S Delta^{-1/2}.
 """
 
 import numpy as np
@@ -20,14 +25,18 @@ import pytest
 
 from conftest import build_pipeline
 from fcslab import algebras, fixtures, modular, purity, systems
-from fcslab.linalg import (OperatorSubspace, dag, subspace_contains,
-                           subspace_equal, unvec, vec)
+from fcslab.linalg import (OperatorSubspace, dag, pos_power,
+                           subspace_contains, subspace_equal, unvec, vec)
 from fcslab.systems import KrausSystem
-from test_commutant_reference import CASES
+from test_commutant_reference import CASES, SWEEP
 
 FIXTURES = ("aklt", "bernoulli-uniform", "bernoulli-basis", "nonergodic-z2",
             "two-block", "period-two")
 TOL = 1e-13
+# largest deviation of the standard form from the polar decomposition,
+# relative to max(1, largest entry): 9e-15 for J and 1.1e-14 for Delta
+# (seed6-2x2); Delta reaches 1e6 in the amplitude-damping sweep
+POLAR_RTOL = 2e-14
 
 
 def with_multiplicity(sys_, copies):
@@ -152,6 +161,28 @@ def test_base_algebra_matches_the_word_closure(label):
     assert ok and angle <= 1e-12, angle
     assert np.max(np.abs(np.conj(base.rows) @ base.rows.T
                          - np.eye(base.dim))) <= 1e-12
+
+
+def reference_polar(s):
+    """(J, Delta^{1/2}, Delta^{-1/2}, Delta) from the polar decomposition S =
+    J Delta^{1/2}: the antilinear S has the adjoint mat^T, so Delta = S* S is
+    mat^T conj(mat)."""
+    delta = s.mat.T @ np.conj(s.mat)
+    delta = (delta + dag(delta)) / 2
+    d_minus_half = pos_power(delta, -0.5)
+    return (s.after_linear(d_minus_half).mat, pos_power(delta, 0.5),
+            d_minus_half, delta)
+
+
+@pytest.mark.parametrize("label", {**CASES, **SWEEP})
+def test_standard_form_matches_the_polar_decomposition(label):
+    md = build_pipeline({**CASES, **SWEEP}[label]()).md
+    got = (md.j.mat, md.d_half, md.d_minus_half, md.delta)
+    for name, x, ref in zip(("j", "d_half", "d_minus_half", "delta"), got,
+                            reference_polar(md.s)):
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        dev = float(np.max(np.abs(x - ref)))
+        assert dev <= POLAR_RTOL * scale, (label, name, dev, scale)
 
 
 def test_basis_orthonormal_under_perturbed_density():

@@ -22,15 +22,6 @@ class TestAntilinearOp:
         rhs = np.conj(2j) * op(x) + 3 * op(y)
         assert np.linalg.norm(lhs - rhs) < 1e-12
 
-    def test_adjoint_pairing(self):
-        # <A* x, y> = conj(<x, A y>) for antilinear A
-        op = AntilinearOp(random_matrix(3, 3))
-        x = random_matrix(3, 4)[:, 0]
-        y = random_matrix(3, 5)[:, 0]
-        lhs = np.vdot(op.adjoint()(x), y)
-        rhs = np.conj(np.vdot(x, op(y)))
-        assert abs(lhs - rhs) < 1e-12
-
     def test_compose_is_linear(self):
         a = AntilinearOp(random_matrix(3, 6))
         b = AntilinearOp(random_matrix(3, 7))

@@ -111,10 +111,10 @@ def test_kms_duality_matches_pairwise_loop(generic):
     _, res = modular.dual_channel(md, modular.DualSystem(ops=ops, residuals={}),
                                   tol=1.0)
     omega = md.omega
-    ref = 0.0
+    ref, ys = 0.0, md.commutant.basis
     for x in md.can.algebra.basis:
         tx = sum(a @ x @ dag(a) for a in md.pi_ops)
-        for y in md.commutant.basis:
+        for y in ys:
             ty = sum(w @ y @ dag(w) for w in ops)
             ref = max(ref, abs(np.vdot(y @ omega, tx @ omega)
                                - np.vdot(ty @ omega, x @ omega)))

@@ -137,6 +137,25 @@ class TestBattery:
         assert rep.gns_dim > n
 
     @pytest.mark.parametrize("name", ["aklt", "3+3"])
+    def test_no_commutant_basis_is_formed(self, name, monkeypatch):
+        # J is in standard form, so J A J lies in A' by associativity: the
+        # battery sandwiches no basis of A by J, and KMS duality applies J
+        # to vectors
+        sys_ = fixtures.aklt() if name == "aklt" else fixtures.block_sum(
+            fixtures.random_system(3, 2, 21), fixtures.random_system(3, 2, 22))
+        shapes, real = [], linalg.AntilinearOp.sandwich
+
+        def recorded(self, lin):
+            shapes.append(np.shape(lin))
+            return real(self, lin)
+
+        monkeypatch.setattr(linalg.AntilinearOp, "sandwich", recorded)
+        rep = purity.purity_battery(sys_)
+        dim, m = rep.pipeline.can.algebra.dim, rep.gns_dim
+        assert (dim, m, m) not in shapes
+        assert shapes  # the duals and the dual density are still sandwiched
+
+    @pytest.mark.parametrize("name", ["aklt", "3+3"])
     def test_no_word_operator_table_is_built(self, name, monkeypatch):
         # the dual diagnostics read word vectors and the gauge group's moment
         # table reads the word stack; neither builds the dict of operators
