@@ -16,6 +16,7 @@ if _threads:
         os.environ.setdefault(_var, _threads)
 
 import argparse
+import functools
 import hashlib
 import sys as _sys
 
@@ -262,8 +263,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on first use and kept: parsing
+    leaves it unchanged, and every call gets a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -1,10 +1,11 @@
 """Dense linear-algebra substrate.
 
-Hermitian eigenproblems, the spectral norm of a sparse or dense matrix from
-its connected blocks, spectral powers of positive operators, antilinear
-operators represented as (matrix, implicit entrywise conjugation) pairs,
-Kraus maps in the real Hermitian frame, and orthonormal subspaces of n x n
-matrices under the Hilbert-Schmidt inner product ``<x, y> = Tr(x* y)``.
+Hermitian eigenproblems, the spectral norms of the row tiles of a sparse or
+dense matrix from their connected blocks, spectral powers of positive
+operators, antilinear operators represented as (matrix, implicit entrywise
+conjugation) pairs, Kraus maps in the real Hermitian frame, and orthonormal
+subspaces of n x n matrices under the Hilbert-Schmidt inner product
+``<x, y> = Tr(x* y)``.
 
 All inner products are linear in the second slot.  Vectorization of matrices
 is row-major throughout: ``vec(A X B) = (A kron B^T) vec(X)``.
@@ -112,47 +113,87 @@ def _entries(x):
     x = x.tocsr()
     rows = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
     keep = x.data != 0
-    return x.shape, rows[keep], x.indices[keep].astype(np.intp), x.data[keep]
+    return x.shape, rows[keep], x.indices[keep], x.data[keep]
 
 
-def spectral_norms(ops) -> np.ndarray:
-    """Operator 2-norms of matrices (ndarrays or scipy.sparse), in one pass.
-
-    The matrices are the diagonal blocks of their direct sum.  Rows and
-    columns of the sum joined by an exact nonzero form the connected
-    components of a bipartite graph, each inside one matrix.  Permuting rows
-    and columns into block-diagonal form changes no singular value, so each
-    norm is the largest norm of its matrix's component blocks.  The blocks
-    are laid out one after another in one buffer, grouped by shape and kind
-    (real or complex), and each group takes one batched SVD, whatever
-    matrices its blocks come from: a block gets the same LAPACK call on the
-    same entries as in a pass of its matrix alone.  ``ops`` may be any
-    iterable; each matrix is dropped once its nonzero entries are copied.
-    Round-off nonzeros only merge components.
-    """
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
-
-    rows, cols, vals, heights, real = [], [], [], [], []
+def _stacked_entries(ops):
+    """Shape, entries and tile heights of matrices stacked as row tiles, with
+    their columns padded to the widest; each matrix is dropped once its
+    entries are copied."""
+    rows, cols, vals, heights = [], [], [], []
     r = c = 0
     for x in ops:
         (nr, nc), i, j, v = _entries(x)
         del x  # dropped before the next matrix is formed
-        index = index_dtype(max(r + nr, c + nc))
-        rows.append((i + r).astype(index))
-        cols.append((j + c).astype(index))
+        rows.append((i + r).astype(index_dtype(r + nr)))
+        cols.append(j.astype(index_dtype(nc)))
         vals.append(v)
         heights.append(nr)
-        real.append(not np.iscomplexobj(v))
-        r, c = r + nr, c + nc
-    out = np.zeros(len(heights))
-    if not sum(v.size for v in vals):
+        r, c = r + nr, max(c, nc)
+    if not heights:
+        rows = cols = [np.zeros(0, dtype=np.int32)]
+        vals = [np.zeros(0)]
+    index = index_dtype(max(r, c))
+    return ((r, c), np.concatenate(rows, dtype=index),
+            np.concatenate(cols, dtype=index),
+            np.concatenate(vals, dtype=np.result_type(*vals)), heights)
+
+
+def _block_norms(blocks) -> np.ndarray:
+    """Largest singular value of each block of a stack (n, r, c) with a
+    nonzero entry in every block: the root of the largest eigenvalue of the
+    smaller Gram matrix, B* B or B B*.  Each block is first divided by its
+    largest modulus, so the Gram entries are at most min(r, c) and only
+    entries negligible against the largest can underflow in it."""
+    scale = np.max(np.abs(blocks), axis=(1, 2))
+    b = blocks / scale[:, None, None]
+    b_adj = np.conj(np.swapaxes(b, 1, 2))
+    gram = b_adj @ b if b.shape[1] >= b.shape[2] else b @ b_adj
+    return scale * np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+
+
+def spectral_norms(ops, heights=None) -> np.ndarray:
+    """Operator 2-norms of the row tiles of a stacked matrix, in one pass.
+
+    ``ops`` is one matrix (ndarray or scipy.sparse) stacked from row tiles of
+    the given ``heights``.  Without ``heights`` it is an iterable of
+    matrices, each one tile: their nonzero entries are copied into one
+    stack, with the columns padded to the widest, and each matrix is dropped
+    once copied.
+
+    The entry stage moves the columns of tile t to a range of their own (t
+    times the width on), so the tiles are the diagonal blocks of a direct
+    sum.  Rows and columns of the sum joined by an exact nonzero form the
+    connected components of a bipartite graph, each inside one tile.
+    Permuting rows and columns into block-diagonal form changes no singular
+    value, so each norm is the largest norm of its tile's component blocks.
+    The blocks are laid out one after another in one buffer, grouped by
+    shape and kind (real when none of its entries has an imaginary part),
+    and each group takes one batched :func:`_block_norms`, whatever tiles
+    its blocks come from: a block gets the same arithmetic on the same
+    entries as in a pass of its tile alone.  Round-off nonzeros only merge
+    components.
+    """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
+    if heights is None:
+        (r, c), rows, cols, vals, heights = _stacked_entries(ops)
+    else:
+        (r, c), rows, cols, vals = _entries(ops)
+    heights = np.asarray(heights, dtype=np.intp)
+    out = np.zeros(heights.size)
+    if not vals.size:
         return out
-    rows = np.concatenate(rows, dtype=index_dtype(r + c))
-    cols = np.concatenate(cols, dtype=rows.dtype)
+    size = r + heights.size * c  # the rows, then each tile's columns
+    index = index_dtype(size)
+    tile = np.repeat(np.arange(heights.size, dtype=index), heights)
+    rows = rows.astype(index, copy=False)
+    cols = cols.astype(index)
+    cols += tile[rows] * c
     # rows are in order, so the graph's row pointers are cumulative counts
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=r + c))])
-    graph = csr_array((np.ones(rows.size), cols + r, indptr), shape=(r + c,) * 2)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=size))])
+    graph = csr_array((np.ones(rows.size), cols + r, indptr), shape=(size,) * 2)
     ncomp, label = connected_components(graph, directed=False)
     del graph, indptr
 
@@ -166,12 +207,15 @@ def spectral_norms(ops) -> np.ndarray:
 
     (nrow, row_pos), (ncol, col_pos) = local(label[:r]), local(label[r:])
     comp = label[rows]
-    # the matrix each component lies in, read off its rows
+    # the tile each component lies in, read off its rows
     owner = np.zeros(ncomp, dtype=np.intp)
-    owner[label[:r]] = np.repeat(np.arange(len(heights)), heights)
+    owner[label[:r]] = tile
+    real = np.ones(ncomp, dtype=bool)
+    if np.iscomplexobj(vals):
+        real[comp[vals.imag != 0]] = False
     # one key per block shape and kind; rows or columns without entries are
     # components with empty blocks
-    group = 2 * (nrow * (c + 1) + ncol) + np.array(real)[owner]
+    group = 2 * (nrow * (c + 1) + ncol) + real
     order = np.argsort(group, kind="stable")
     size = (nrow * ncol)[order]
     offset = np.empty(ncomp, dtype=np.intp)
@@ -182,11 +226,8 @@ def spectral_norms(ops) -> np.ndarray:
     flat += offset[comp]
     flat += col_pos[cols]
     del rows, cols, comp, row_pos, col_pos
-    buf = np.zeros(int(size.sum()), dtype=np.result_type(*vals))
-    end = 0
-    for v in vals:
-        buf[flat[end:end + v.size]] = v
-        end += v.size
+    buf = np.zeros(int(size.sum()), dtype=vals.dtype)
+    buf[flat] = vals
     del vals, flat
     keys, first, count = np.unique(group[order], return_index=True,
                                    return_counts=True)
@@ -197,8 +238,7 @@ def spectral_norms(ops) -> np.ndarray:
         at = offset[order[i]]
         blocks = buf[at:at + n * nr * nc].reshape(n, nr, nc)
         np.maximum.at(out, owner[order[i:i + n]],
-                      np.linalg.norm(blocks.real if is_real else blocks, 2,
-                                     axis=(1, 2)))
+                      _block_norms(blocks.real if is_real else blocks))
     return out
 
 

@@ -18,11 +18,14 @@ Truncation policy: compressed operator matrices are exact on interior
 vectors (word lengths below the level); all residual checks quantify over
 interior vectors only and boundary behavior is reported separately.
 
-G, its top rows Q, the domains (columns of Q) and the shift compressions
-(m nonzeros per column) are scipy.sparse CSR matrices: ||G - Q^H Q||_F is
-the norm of the stored entries of the difference, and each check takes all
-its operator norms in one ``linalg.spectral_norms`` pass over the block
-patterns of its operators.
+G, its top rows Q, the domains (columns of Q), the shift compressions
+(m nonzeros per column) and their adjoints, formed once by ``build``, are
+scipy.sparse CSR matrices: ||G - Q^H Q||_F is the norm of the stored
+entries of the difference.  The residual checks stack the operators of a
+relation family, one per letter pair (i, j), as the row tiles of one CSR
+matrix formed by one sparse product, whose rows are accumulated exactly as
+in the product of each pair alone, and take the norms of all its tiles in
+one ``linalg.spectral_norms`` pass over their block patterns.
 scipy.sparse is imported inside the functions that need it, so code that
 never runs the two-sided check does not load it.
 """
@@ -52,6 +55,8 @@ class TwoSidedRep:
     quotient_map: object = field(repr=False)  # (q, N) CSR: raw coords -> quotient
     right_ops: tuple = field(repr=False)  # d sparse (q, q) compressions (CSR)
     left_ops: tuple = field(repr=False)  # d sparse (q, q)
+    right_adj: tuple = field(repr=False)  # their adjoints, CSR
+    left_adj: tuple = field(repr=False)
     corner: np.ndarray = field(repr=False)  # (q, m): the raw vectors ((), (), alpha)
     omega: np.ndarray = field(repr=False)
     shift: object = field(repr=False)  # V = sum_k S_k Stilde_k*, CSR
@@ -145,15 +150,17 @@ def held_bytes(d: int, m: int, level: int) -> tuple:
     Three transients peak in turn: at most 128 bytes per entry of the P^2
     Gram blocks of size m x m (with Q^H Q and G - Q^H Q), 80 per entry of
     moment_check's W^2 vectors in C^q, W the number of words shorter than L,
-    and 48 per slot of check_relations' one norm pass.  That pass holds the
+    and 48 per slot of check_relations' norm passes, counted as if the
     entries of all 4d^2 + 2 relation operators and of their interior
-    restrictions and indexes their 3q + q/d^2 < 4q rows and columns.  Each
-    relation operator maps the raw vectors of one word pair into those of
-    one other pair, with at most d m stored entries per column, and an
-    interior column has d^2 m entries, so the restriction has at most m q:
-    (d m + m + 4) q slots per relation.
+    restrictions were held at once, with their 3q + q/d^2 < 4q rows and
+    columns indexed (the check holds one relation family at a time, so this
+    bounds it from above).  Each relation operator maps the raw vectors of
+    one word pair into those of one other pair, with at most d m stored
+    entries per column, and an interior column has d^2 m entries, so the
+    restriction has at most m q: (d m + m + 4) q slots per relation.
     Held throughout: Q, the compressions, V and the interior and covariance
-    domains, with (3d + 2 + (L+1)^2) m stored entries per column or fewer.
+    domains, with (3d + 2 + (L+1)^2) m stored entries per column or fewer;
+    the adjoints of the compressions, 2d m more per column, are not counted.
     Returns (Gram assembly, moment vectors, relation norms, held); the check
     needs the largest transient plus the held bytes.
     """
@@ -170,7 +177,8 @@ def build(md: ModularData, dual: DualSystem, level: int) -> TwoSidedRep:
     The top raw vectors (both words of length L) have the identity as Gram
     block and span the shorter ones, as sum_k v_k v_k* = sum_k w_k w_k* = 1.
     The raw Gram G is one sparse matrix, Q its top rows.  Each shift
-    compression has m nonzeros per column and is kept sparse.
+    compression has m nonzeros per column and is kept sparse, as is its
+    adjoint, formed here once for all the checks.
     """
     if level < 2:
         raise ValueError("level must be >= 2")
@@ -214,7 +222,8 @@ def build(md: ModularData, dual: DualSystem, level: int) -> TwoSidedRep:
         left_ops.append(_gram(_pair_table(top, ext, wtab), right_top))
 
     corner = _domain(quotient_map, d, level, 0, 0).toarray()  # ((), (), alpha)
-    shift = sum(a @ b.conj().T for a, b in zip(right_ops, left_ops)).tocsr()
+    right_adj, left_adj = _adjoints(right_ops), _adjoints(left_ops)
+    shift = sum(a @ b for a, b in zip(right_ops, left_adj)).tocsr()
 
     return TwoSidedRep(
         level=level,
@@ -223,6 +232,8 @@ def build(md: ModularData, dual: DualSystem, level: int) -> TwoSidedRep:
         quotient_map=quotient_map,
         right_ops=tuple(right_ops),
         left_ops=tuple(left_ops),
+        right_adj=tuple(right_adj),
+        left_adj=tuple(left_adj),
         corner=corner,
         omega=corner @ md.omega,
         shift=shift,
@@ -261,46 +272,84 @@ def _adjoints(ops) -> list:
     return [a.conj().T.tocsr() for a in ops]
 
 
+def _tiled(ops, places, width: int):
+    """CSR matrix of row tiles, one per (k, b) in ``places``: ops[k] (CSR)
+    moved right by b * width columns.
+
+    The entries are copied in their stored order, so the product of this
+    matrix with a stack of tiles of height ``width`` computes each row of
+    tile (k, b) exactly as ops[k] times tile b alone does.
+    """
+    from scipy.sparse import csr_array
+
+    tiles = [ops[k] for k, _ in places]
+    shifts = [b * width for _, b in places]
+    nnz = np.array([a.nnz for a in tiles])
+    shape = (sum(a.shape[0] for a in tiles),
+             max(a.shape[1] + shift for a, shift in zip(tiles, shifts)))
+    index = index_dtype(max(*shape, nnz.sum()))
+    indptr = np.concatenate([[0]] + [a.indptr[1:] + start for a, start
+                                     in zip(tiles, np.cumsum(nnz) - nnz)])
+    indices = np.concatenate([a.indices.astype(index) + shift
+                              for a, shift in zip(tiles, shifts)])
+    data = np.concatenate([a.data for a in tiles])
+    return csr_array((data, indices, indptr.astype(index)), shape=shape)
+
+
+def _stack(ops):
+    """CSR matrix of the CSR matrices ops stacked as row tiles."""
+    return _tiled(ops, [(k, 0) for k in range(len(ops))], 0)
+
+
+def _pairs(d: int) -> list:
+    """The letter pairs (i, j), i major: the order of the tiles of a family."""
+    return [(i, j) for i in range(d) for j in range(d)]
+
+
 def check_relations(rep: TwoSidedRep) -> RelationReport:
     """Isometry, completeness, and commutation residuals.
 
     Interior residuals are exact statements of the inductive-limit relations
     and must be small; boundary residuals quantify the truncation and are
-    reported separately.  Each relation operator is a sparse product of the
-    compressions; its norms on the interior domain and everywhere are taken
-    with all the others in one block-norm pass.
+    reported separately.  Each relation family over the letter pairs (i, j)
+    is one stacked CSR product, with the operator of (i, j) as its tile
+    i d + j, and delta_ij is subtracted once from the stack; each row of a
+    tile is accumulated as in the product of that pair alone.  The two
+    completeness operators form one more stack of two tiles.  The families
+    are formed and measured one at a time: the stack times the interior
+    basis and the stack itself go through one block-norm pass together.
     """
-    from scipy.sparse import eye_array
+    from scipy.sparse import csr_array, eye_array
 
-    eye = eye_array(rep.quotient_dim, format="csr")
-    s, st = rep.right_ops, rep.left_ops
-    s_adj, st_adj = _adjoints(s), _adjoints(st)
+    d, q = rep.d, rep.quotient_dim
+    s, st, s_adj, st_adj = rep.right_ops, rep.left_ops, rep.right_adj, rep.left_adj
+    pairs = _pairs(d)
+    swapped = [(j, i) for i, j in pairs]
+    s_col, st_col, st_adj_col = _stack(s), _stack(st), _stack(st_adj)
+    eye = eye_array(q, format="csr")
+    delta = _stack([eye if i == j else csr_array((q, q)) for i, j in pairs])
 
-    def relations():
-        for i in range(rep.d):
-            for j in range(rep.d):
-                one = eye if i == j else 0
-                yield "right_isometry", s_adj[i] @ s[j] - one
-                yield "left_isometry", st_adj[i] @ st[j] - one
-                yield "commutation", s[i] @ st[j] - st[j] @ s[i]
-                yield "star_commutation", s[i] @ st_adj[j] - st_adj[j] @ s[i]
-        yield "right_completeness", sum(a @ b for a, b in zip(s, s_adj)) - eye
-        yield "left_completeness", sum(a @ b for a, b in zip(st, st_adj)) - eye
+    def families():
+        # the keys of a family's tiles, then the family; tile i d + j is (i, j)
+        yield ["right_isometry"] * d * d, _tiled(s_adj, pairs, q) @ s_col - delta
+        yield ["left_isometry"] * d * d, _tiled(st_adj, pairs, q) @ st_col - delta
+        # S_i Stilde_j - Stilde_j S_i, and with Stilde_j*
+        yield ["commutation"] * d * d, (_tiled(s, pairs, q) @ st_col
+                                        - _tiled(st, swapped, q) @ s_col)
+        yield ["star_commutation"] * d * d, (_tiled(s, pairs, q) @ st_adj_col
+                                             - _tiled(st_adj, swapped, q) @ s_col)
+        yield ["right_completeness", "left_completeness"], _stack(
+            [sum(a @ b for a, b in zip(s, s_adj)) - eye,
+             sum(a @ b for a, b in zip(st, st_adj)) - eye])
 
-    keys = []
-
-    def operators():
-        # each relation operator on the interior domain, then everywhere
-        for key, x in relations():
-            keys.append(key)
-            yield x @ rep.interior
-            yield x
-
-    norms = spectral_norms(operators()).reshape(-1, 2)
     interior, boundary = {}, {}
-    for key, (inner, outer) in zip(keys, norms.tolist()):
-        interior[key] = max(interior.get(key, 0.0), inner)
-        boundary[key] = max(boundary.get(key, 0.0), outer)
+    for keys, x in families():
+        both = _stack([x @ rep.interior, x])
+        del x  # dropped before the next family is formed
+        norms = spectral_norms(both, [q] * 2 * len(keys)).reshape(2, -1)
+        for key, inner, outer in zip(keys, *norms.tolist()):
+            interior[key] = max(interior.get(key, 0.0), inner)
+            boundary[key] = max(boundary.get(key, 0.0), outer)
     return RelationReport(interior=interior, boundary=boundary)
 
 
@@ -315,16 +364,17 @@ def compression_residual(rep: TwoSidedRep) -> float:
     r_adj = dag(np.linalg.qr(c, mode="r"))
 
     def operators():
-        for a in _adjoints(rep.right_ops) + _adjoints(rep.left_ops):
+        for a in rep.right_adj + rep.left_adj:
             x = a @ c
             yield (x - c @ (dag(c) @ x)) @ r_adj
 
     return max(0.0, *spectral_norms(operators()).tolist())
 
 
-def _shifted_vectors(ops, word_list, omega, rows) -> np.ndarray:
+def _shifted_vectors(ops, adj, word_list, omega, rows) -> np.ndarray:
     """vecs[rows[x, y]] = T_x T_y* omega for T the forward word products of
-    ops and x, y positions in word_list, filled in place into one (W^2, q)
+    ops (adjoints adj) and x, y positions in word_list, filled in place into
+    one (W^2, q)
     array; rows is a (W, W) arrangement of range(W^2) that fixes the row of
     each pair.
 
@@ -334,7 +384,6 @@ def _shifted_vectors(ops, word_list, omega, rows) -> np.ndarray:
     product per x with the W vectors of x' at once.
     """
     index = {w: i for i, w in enumerate(word_list)}
-    adj = _adjoints(ops)
     vecs = np.empty((rows.size, len(omega)),
                     dtype=np.result_type(omega, *(a.dtype for a in ops)))
     down = rows[0]  # the vectors T_y* omega of the empty word x = ()
@@ -379,9 +428,10 @@ def moment_check(rep: TwoSidedRep, sys: KrausSystem, state: InvariantState,
     rows[a, b] = np.arange(a.size)
     rows[rows == a.size] = np.arange(a.size, rows.size)
     # left pair (x, y) stands for la = x reversed and lb = y reversed
-    left = _shifted_vectors(rep.left_ops, [w[::-1] for w in ws], rep.omega,
-                            rows.T)[:a.size]
-    right = _shifted_vectors(rep.right_ops, ws, rep.omega, rows)[:a.size]
+    left = _shifted_vectors(rep.left_ops, rep.left_adj, [w[::-1] for w in ws],
+                            rep.omega, rows.T)[:a.size]
+    right = _shifted_vectors(rep.right_ops, rep.right_adj, ws, rep.omega,
+                             rows)[:a.size]
     got = np.conj(left, out=left) @ right.T
     del left, right  # freed before the moment table is built
     _, moments = moment_table(sys, state, 2 * window)
@@ -400,28 +450,29 @@ def shift_check(rep: TwoSidedRep) -> ShiftReport:
 
     Covariance is tested in commutator form V pi(x) = pi(shifted x) V for
     single-site matrix units at the seam, on a domain where all products
-    stay inside the truncation.  Every operator acts on the domain's basis
-    by sparse products before its norm is taken block by block.
+    stay inside the truncation.  The covariance family over the letter
+    pairs (i, j) is formed on the domain's basis as stacked CSR products,
+    tile i d + j for (i, j), each row accumulated as for that pair alone;
+    its norms and that of the isometry defect are taken in one block-norm
+    pass.
     """
     v = rep.shift
     interior = rep.interior
     omega_res = float(np.linalg.norm(v @ rep.omega - rep.omega))
 
-    dom = _domain(rep.quotient_map, rep.d, rep.level, rep.level - 1,
-                  rep.level - 2)
-    v_dom = v @ dom
-    s, st = rep.right_ops, rep.left_ops
-    s_adj, st_adj = _adjoints(s), _adjoints(st)
-
-    def operators():
-        yield v.conj().T @ (v @ interior) - interior
-        for i in range(rep.d):
-            for j in range(rep.d):
-                # (V x_left - x_right V) dom with x = T_i T_j* for each family
-                left_dom = st[i] @ (st_adj[j] @ dom)
-                right_v_dom = s[i] @ (s_adj[j] @ v_dom)
-                yield v @ left_dom - right_v_dom
-
-    iso, *covariance = spectral_norms(operators()).tolist()
+    d, q = rep.d, rep.quotient_dim
+    dom = _domain(rep.quotient_map, d, rep.level, rep.level - 1, rep.level - 2)
+    pairs = _pairs(d)
+    s, st, s_adj, st_adj = rep.right_ops, rep.left_ops, rep.right_adj, rep.left_adj
+    # tile (i, j): (V x_left - x_right V) dom with x = T_i T_j* for each family
+    left_dom = _tiled(st, pairs, q) @ (_stack(st_adj) @ dom)
+    v_left_dom = _tiled([v], [(0, t) for t in range(d * d)], q) @ left_dom
+    del left_dom
+    right_v_dom = _tiled(s, pairs, q) @ (_stack(s_adj) @ (v @ dom))
+    covariance = v_left_dom - right_v_dom
+    del v_left_dom, right_v_dom
+    isometry = (v.conj().T @ (v @ interior) - interior).tocsr()
+    iso, *cov = spectral_norms(_stack([isometry, covariance]),
+                               [q] * (1 + d * d)).tolist()
     return ShiftReport(isometry_residual=iso, omega_residual=omega_res,
-                       covariance_residual=max(0.0, *covariance))
+                       covariance_residual=max(0.0, *cov))

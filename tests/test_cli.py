@@ -82,6 +82,21 @@ def test_seed_override(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_one_parser_serves_independent_calls(tmp_path):
+    # main keeps one parser per process; the flags of a call do not reach
+    # the next one
+    paths = [tmp_path / f"{k}.json" for k in range(3)]
+    for flags, path in zip([["--no-amalgam"], ["--level", "3"], ["--no-amalgam"]],
+                           paths):
+        assert run(["analyze", "fixture:aklt", *flags, "-o", str(path)]) == cli.EXIT_OK
+    first, deep = (json.loads(p.read_text()) for p in paths[:2])
+    assert "twosided" not in first and first["provenance"]["level"] is None
+    assert deep["twosided"]["level"] == deep["provenance"]["level"] == 3
+    assert paths[0].read_bytes() == paths[2].read_bytes()
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
 def test_seed_override_keeps_the_shape(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

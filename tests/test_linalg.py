@@ -214,6 +214,40 @@ class TestSpectralNorms:
         assert np.array_equal(linalg.spectral_norms(iter(ops)),
                               linalg.spectral_norms(ops))
 
+    def test_tiles_of_a_stack_stay_apart(self):
+        # the two rows share their columns, but each is a tile of its own
+        got = linalg.spectral_norms(csr_array(np.ones((2, 2))), [1, 1])
+        assert np.allclose(got, [np.sqrt(2.0)] * 2, rtol=1e-15, atol=0)
+        assert linalg.spectral_norms(np.ones((2, 2)), [2]) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e150, 1e200])
+    def test_extreme_scales(self, scale):
+        # each block is scaled by its largest entry before its Gram matrix
+        # is formed, so squared entries neither underflow nor overflow
+        rng = np.random.default_rng(7)
+        ops = []
+        for r, c in [(7, 3), (3, 7), (5, 5), (1, 4), (4, 1)]:
+            x = scale * rng.normal(size=(r, c))
+            y = x + 1j * scale * rng.normal(size=(r, c))
+            ops += [x, csr_array(y), y]
+        ops += [np.zeros((4, 2)), csr_array((3, 3), dtype=complex)]
+        got = linalg.spectral_norms(ops)
+        for norm, x in zip(got, ops):
+            want = np.linalg.norm(x.toarray() if hasattr(x, "toarray") else x, 2)
+            assert abs(norm - want) <= 1e-13 * want
+        # the same tiles as one stacked matrix
+        width = max(x.shape[1] for x in ops)
+        stacked = np.zeros((sum(x.shape[0] for x in ops), width), dtype=complex)
+        top = 0
+        for x in ops:
+            stacked[top:top + x.shape[0], :x.shape[1]] = (
+                x.toarray() if hasattr(x, "toarray") else x)
+            top += x.shape[0]
+        heights = [x.shape[0] for x in ops]
+        assert np.array_equal(linalg.spectral_norms(stacked, heights), got)
+        assert np.array_equal(linalg.spectral_norms(csr_array(stacked), heights),
+                              got)
+
     @settings(max_examples=40, deadline=None)
     @given(cases=st.lists(st.tuples(_BLOCKS, st.integers(0, 2**32 - 1),
                                     st.booleans()), min_size=1, max_size=5))

@@ -367,6 +367,20 @@ def loop_shift_check(rep):
                                 covariance_residual=worst)
 
 
+def _conjugated(sys_, seed):
+    """v_k -> U v_k U* for the Haar-distributed unitary U (QR with the phases
+    of R's diagonal taken out) from a seeded complex Gaussian matrix."""
+    rng = np.random.default_rng(seed)
+    n = sys_.n
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    return systems.KrausSystem(np.stack([u @ a @ dag(u) for a in sys_.ops]))
+
+
+# the first two child seeds of seed 1: the conjugating unitaries of the
+# AKLT and period-two inputs of the twosided benchmark at seed 1
+_CHILD_SEEDS = [int(s) for s in np.random.default_rng(1).integers(0, 2**31, 2)]
+
 LOOP_CASES = {
     "aklt-L2": (fixtures.aklt, 2),
     "aklt-L3": (fixtures.aklt, 3),
@@ -374,6 +388,10 @@ LOOP_CASES = {
     "period-two-L4": (fixtures.period_two, 4),
     "bernoulli-L4": (fixtures.bernoulli_uniform, 4),
     "bernoulli-L5": (fixtures.bernoulli_uniform, 5),
+    "conjugated-aklt-L2": (
+        lambda: _conjugated(fixtures.aklt(), _CHILD_SEEDS[0]), 2),
+    "conjugated-period-two-L3": (
+        lambda: _conjugated(fixtures.period_two(), _CHILD_SEEDS[1]), 3),
 }
 
 
