@@ -5,9 +5,9 @@ builds the closure S of ``x Omega -> x* Omega`` and, in the standard form
 read off the density on the support, J and Delta with ``S = J
 Delta^{1/2}``, the modular group ``sigma_z(x) = Delta^{iz} x Delta^{-iz}``,
 the commutant J A J of the represented algebra, and the dual operators
-``w_k = J sigma_{i/2}(pi(v_k)*) J`` living in it.  Every identity of the
-modular data and of the duals is checked numerically; a failed identity
-aborts the construction.
+``w_k = J sigma_{i/2}(pi(v_k)*) J`` living in it.  pi(A) is read through
+elements of A on C^n, never through its basis on the GNS space.  Every
+identity is checked numerically; a failed identity aborts the construction.
 """
 
 from __future__ import annotations
@@ -115,10 +115,10 @@ def modular_data(can: CanonicalSystem, tol: float = DEFAULT_TOL) -> ModularData:
         "polar": float(np.linalg.norm(
             j.after_linear(d_half).mat - s.mat)),
     }
-    # S reproduces x -> x* on pi(A) Omega, columns over the basis of pi(A)
-    xs = can.algebra.basis
-    lhs = s((xs @ omega).T)
-    rhs = (dag(xs) @ omega).T
+    # S reproduces x -> x* on pi(A) Omega: pi(e) Omega = coordinates(e)
+    e = can.algebra_mats
+    lhs = s(can.coordinates(e).T)
+    rhs = can.coordinates(dag(e)).T
     residuals["conjugation"] = float(np.max(np.linalg.norm(lhs - rhs, axis=0)))
 
     bad = {k: v for k, v in residuals.items() if v > max(tol, 1e-9) * 10}
@@ -197,7 +197,8 @@ def dual_diagnostics(md: ModularData, duals: np.ndarray, word_len: int = 3,
     """Residuals of the identities a candidate dual family must satisfy.
 
     Checked identities:
-      (i)   each w_k commutes with the represented algebra,
+      (i)   each w_k commutes with pi(A), that is with the nonzero pi(v_j)
+            and pi(v_j)*, each scaled to unit norm,
       (ii)  sum_k w_k w_k* = 1,
       (iii) w_I* Omega = pi(v)_{reversed I}* Omega for |I| <= word_len,
       (iv)  moment duality <Omega, pi(v)_I pi(v)_J* Omega> =
@@ -217,10 +218,10 @@ def dual_diagnostics(md: ModularData, duals: np.ndarray, word_len: int = 3,
                  "two {} x {} moment Grams and four {} x {} word-vector "
                  "arrays", log_w, log_w, log_w, math.log2(m))
     residuals = {}
-    b = md.can.algebra.basis
-    # one letter at a time: a (dim A, m, m) stack is held, not d of them
+    gens = np.stack([g / np.linalg.norm(g) for g in
+                     np.concatenate([pi_ops, dag(pi_ops)]) if g.any()])
     residuals["commutant_membership"] = max(
-        float(np.max(np.linalg.norm(w @ b - b @ w, axis=(-2, -1))))
+        float(np.max(np.linalg.norm(w @ gens - gens @ w, axis=(-2, -1))))
         for w in duals)
     residuals["dual_unitality"] = float(np.linalg.norm(
         sum(w @ dag(w) for w in duals) - np.eye(m)
@@ -264,21 +265,22 @@ def kms_duality(md: ModularData, dual: DualSystem,
     matrices.
 
     Only vectors are formed, and J is applied to them: y = J x J over the
-    basis of A has y Omega = J x Omega and y u = J x J u.  tau(x) Omega = R x
+    basis pi(e_a) of A has y Omega = J x Omega and y u = J x J u, with x u
+    the coordinates of e_a eta for u the vector of eta.  tau(x) Omega = R x
     Omega for the canonical system's transfer matrix R, and tau~(y) Omega =
-    sum_k w_k (y (w_k* Omega)), so each side is a product of (dim, m)
-    vector stacks and no operator product of a basis is taken.
+    sum_k w_k (y (w_k* Omega)), so each side is a product of vector stacks.
 
     A residual above ``10 * max(tol, 1e-9)`` raises
     :class:`DualConstructionError`.
     """
-    duals, j = dual.ops, md.j
-    xs = md.can.algebra.basis
-    x_omega = xs @ md.omega
-    # yu[y, b, k] = (y w_k* Omega)_b, contracted with w_k
-    yu = j.mat @ np.conj(xs @ j((dag(duals) @ md.omega).T))
-    ty_omega = np.tensordot(yu, duals, axes=([1, 2], [2, 0]))
-    lhs = np.conj(j(x_omega.T).T) @ md.can.transfer @ x_omega.T
+    duals, j, can, e = dual.ops, md.j, md.can, md.can.algebra_mats
+    x_omega = can.coordinates(e)
+    # u_k = J w_k* Omega is the vector of eta_k; yu[y, k, b] = (y u_k)_b
+    eta = np.einsum("ik,iab->kab", j((dag(duals) @ md.omega).T),
+                    can.basis_mats)
+    yu = np.conj(can.coordinates(e[:, None] @ eta)) @ j.mat.T
+    ty_omega = np.tensordot(yu, duals, axes=([1, 2], [0, 2]))
+    lhs = np.conj(j(x_omega.T).T) @ can.transfer @ x_omega.T
     rhs = np.conj(ty_omega) @ x_omega.T
     res = float(np.max(np.abs(lhs - rhs)))
     if res > max(tol, 1e-9) * 10:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as _iproduct
 
 import numpy as np
@@ -227,9 +228,10 @@ class CanonicalSystem:
     which is J A J (:attr:`fcslab.modular.ModularData.commutant`).
     ``basis_mats`` are the GNS orthonormal basis elements c as matrices on
     the original space, ``pi_ops`` the images of the Kraus family, ``omega``
-    the cyclic vector (class of the identity) and ``algebra`` the image
-    pi(A) inside the GNS matrix space, with the Hilbert-Schmidt orthonormal
-    basis of :func:`canonicalize`.
+    the cyclic vector (class of the identity) and ``algebra_mats`` the e_a
+    in A with pi(e_a) a Hilbert-Schmidt orthonormal basis of pi(A)
+    (:attr:`algebra`), read on C^n: pi(x) maps the vector xi of
+    sum_i xi_i c_i to ``coordinates(x sum_i xi_i c_i)``.
 
     ``transfer`` is the m x m matrix R of the transfer channel tau(x) =
     sum_k pi(v_k) x pi(v_k)* on the represented algebra, read on vectors:
@@ -243,7 +245,7 @@ class CanonicalSystem:
     state: InvariantState
     pi_ops: np.ndarray = field(repr=False)  # (d, m, m)
     omega: np.ndarray = field(repr=False)  # (m,)
-    algebra: OperatorSubspace = field(repr=False)
+    algebra_mats: np.ndarray = field(repr=False)  # (dim A, n, n)
     basis_mats: np.ndarray = field(repr=False)  # (m, n, n)
     base_commutant: OperatorSubspace = field(repr=False)  # C, in M_n
     base_algebra: OperatorSubspace = field(repr=False)  # A = C', in M_n
@@ -252,6 +254,20 @@ class CanonicalSystem:
     @property
     def gns_dim(self) -> int:
         return self.pi_ops.shape[1]
+
+    @cached_property
+    def algebra(self) -> OperatorSubspace:
+        """pi(A) with the basis pi(e_a), built on access as a test oracle.
+
+        e_a = b_a z^{-1/2} for the orthonormal basis b of ``base_algebra``
+        and z = sum_a b_a b_a*.  z does not depend on the orthonormal basis,
+        so it commutes with the unitaries of A: for A = (+)_i M_{k_i} (x)
+        1_{l_i} it is k_i / l_i on the i-th block, central and positive.
+        pi is the left regular representation, which holds M_{k_i} with
+        multiplicity k_i, so Tr pi(x) = Tr(x z) on A, and the pi(e_a) are
+        Hilbert-Schmidt orthonormal.
+        """
+        return OperatorSubspace(self.gns_dim, self.represent(self.algebra_mats))
 
     def coordinates(self, y) -> np.ndarray:
         """GNS coordinates <c_i, y>_phi of a matrix or a stack (..., n, n)."""
@@ -296,14 +312,6 @@ def canonicalize(sys: KrausSystem, state: InvariantState,
     nearest commuting direction.  Letters outside A are refused, since pi
     would drop that part of them.
 
-    pi(A) needs no orthonormalization on the GNS space.  z = sum_a b_a b_a*
-    does not depend on the orthonormal basis, so it commutes with the
-    unitaries of A: for A = (+)_i M_{k_i} (x) 1_{l_i} it is k_i / l_i on the
-    i-th block, central and positive.  pi is the left regular
-    representation, which holds M_{k_i} with multiplicity k_i, so
-    Tr pi(x) = Tr(x z) on A, and pi(b_a z^{-1/2}) is a Hilbert-Schmidt
-    orthonormal basis of pi(A).
-
     Requires a strictly positive invariant density (run
     :func:`compress_to_support` first); a singular Gram matrix signals a
     support bug upstream and is rejected.
@@ -337,12 +345,11 @@ def canonicalize(sys: KrausSystem, state: InvariantState,
     refine = pos_power(_coordinates(rho, c, c).T, -0.5)
     c = np.einsum("ab,aij->bij", refine, c)
     z = np.einsum("aij,akj->ik", b, np.conj(b))  # sum_a b_a b_a*
-    algebra = OperatorSubspace(
-        len(c), _represent(rho, c, b @ pos_power(z, -0.5)))
     images = sum(a @ c @ dag(a) for a in sys.ops)  # sum_k v_k c_j v_k*
     return CanonicalSystem(
         base=sys, state=state, pi_ops=_represent(rho, c, sys.ops),
-        omega=_coordinates(rho, c, np.eye(n)), algebra=algebra, basis_mats=c,
+        omega=_coordinates(rho, c, np.eye(n)),
+        algebra_mats=b @ pos_power(z, -0.5), basis_mats=c,
         base_commutant=base_commutant, base_algebra=base_algebra,
         transfer=_coordinates(rho, c, images).T,
     )

@@ -158,9 +158,9 @@ def held_bytes(d: int, m: int, level: int) -> tuple:
     one word pair into those of one other pair, with at most d m stored
     entries per column, and an interior column has d^2 m entries, so the
     restriction has at most m q: (d m + m + 4) q slots per relation.
-    Held throughout: Q, the compressions, V and the interior and covariance
-    domains, with (3d + 2 + (L+1)^2) m stored entries per column or fewer;
-    the adjoints of the compressions, 2d m more per column, are not counted.
+    Held throughout: Q, the compressions and their adjoints, V and the
+    interior and covariance domains, with (5d + 2 + (L+1)^2) m stored
+    entries per column or fewer.
     Returns (Gram assembly, moment vectors, relation norms, held); the check
     needs the largest transient plus the held bytes.
     """
@@ -168,7 +168,7 @@ def held_bytes(d: int, m: int, level: int) -> tuple:
     return (7 + 2 * (_log2_pairs(d, level) + math.log2(m)),
             math.log2(80) + 2 * log2_word_count(d, level - 1) + log_q,
             math.log2(48 * (4 * d * d + 2) * (d * m + m + 4)) + log_q,
-            math.log2(24 * (3 * d + 2 + (level + 1) ** 2) * m) + log_q)
+            math.log2(24 * (5 * d + 2 + (level + 1) ** 2) * m) + log_q)
 
 
 def build(md: ModularData, dual: DualSystem, level: int) -> TwoSidedRep:

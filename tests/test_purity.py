@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,9 +153,24 @@ class TestBattery:
 
         monkeypatch.setattr(linalg.AntilinearOp, "sandwich", recorded)
         rep = purity.purity_battery(sys_)
+        # nor does it represent the basis of A: pi(A) is read on C^r
+        assert "algebra" not in rep.pipeline.can.__dict__
         dim, m = rep.pipeline.can.algebra.dim, rep.gns_dim
         assert (dim, m, m) not in shapes
         assert shapes  # the duals and the dual density are still sandwiched
+
+    def test_no_stack_over_the_algebra_is_held(self):
+        # at n = 16 (m = 256, dim A = m) any array holding A's basis on the
+        # GNS space has 16 m^3 bytes, 256 MiB; the battery stays below a
+        # quarter of one
+        m = 16 * 16
+        tracemalloc.start()
+        try:
+            purity.purity_battery(fixtures.random_system(16, 2, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * m**3 / 4
 
     @pytest.mark.parametrize("name", ["aklt", "3+3"])
     def test_no_word_operator_table_is_built(self, name, monkeypatch):

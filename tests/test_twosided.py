@@ -47,7 +47,7 @@ class TestBuild:
         # the 63^2 moment vectors in C^q alone need about 4961 MiB
         p = build_pipeline(fixtures.period_two())
         with pytest.raises(twosided.TruncationError,
-                           match=r"level 6 needs about 5047 MiB for 1411 x 1411 "
+                           match=r"level 6 needs about 5053 MiB for 1411 x 1411 "
                                  r"word-pair blocks of the raw Gram, 4 sparse "
                                  r"shift compressions and moment vectors of "
                                  r"dimension 16384, over the budget of 1024 MiB"):

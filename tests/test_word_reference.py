@@ -54,6 +54,40 @@ def reference_dual_diagnostics(md, duals, word_len=3, moment_len=4):
     return residuals
 
 
+@pytest.mark.parametrize("eps", [1e-6, 1e-3])
+@pytest.mark.parametrize("space", ["random", "algebra", "commutant"])
+@pytest.mark.parametrize("name", ["aklt", "block-3+3", "random-3-3",
+                                  "random-4-2", "two-block"])
+def test_membership_on_generators_tracks_the_basis_sweep(name, space, eps):
+    # identity (i) reads the commutators with pi(v_j) and pi(v_j)*, which
+    # generate pi(A); the reference sweeps the whole basis of pi(A)
+    p = build_pipeline(SYSTEMS[name]())
+    m = p.md.gns_dim
+    rng = np.random.default_rng(len(name))
+    if space == "random":
+        y = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    else:
+        basis = (p.can.algebra if space == "algebra" else p.md.commutant).basis
+        y = np.einsum("a,aij->ij", rng.normal(size=len(basis))
+                      + 1j * rng.normal(size=len(basis)), basis)
+    duals = p.dual.ops.copy()
+    duals[0] += eps * y / np.linalg.norm(y)
+    got = modular.dual_diagnostics(p.md, duals, 0, 0)["commutant_membership"]
+    want = reference_dual_diagnostics(p.md, duals, 0, 0)["commutant_membership"]
+    if space == "commutant":
+        assert got <= TOL
+    else:
+        assert want / 2 <= got <= 2 * want
+
+
+def test_membership_skips_a_zero_letter():
+    # a zero letter is a valid Kraus operator; its image has no direction
+    ops = fixtures.aklt().ops
+    sys_ = systems.KrausSystem(np.concatenate([ops, np.zeros_like(ops[:1])]))
+    res = build_pipeline(sys_).dual.residuals["commutant_membership"]
+    assert np.isfinite(res) and res <= TOL
+
+
 def _random_ops(d, n, seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(d, n, n)) + 1j * rng.normal(size=(d, n, n))
