@@ -1,7 +1,7 @@
 """Dense linear-algebra substrate.
 
-Hermitian eigenproblems, the spectral norms of the row tiles of a sparse or
-dense matrix from their connected blocks, spectral powers of positive
+Hermitian eigenproblems, the spectral norms of the row tiles of a sparse
+matrix from their connected blocks, spectral powers of positive
 operators, antilinear operators represented as (matrix, implicit entrywise
 conjugation) pairs, Kraus maps in the real Hermitian frame, and orthonormal
 subspaces of n x n matrices under the Hilbert-Schmidt inner product
@@ -91,52 +91,9 @@ def herm_eig(h, tol: float = DEFAULT_TOL):
     return w, u
 
 
-def spectral_norm(x) -> float:
-    """Operator 2-norm of one matrix (ndarray or scipy.sparse)."""
-    return float(spectral_norms([x])[0])
-
-
 def index_dtype(size: int):
     """32-bit integers for indices below ``size`` when they fit."""
     return np.int32 if size < 2**31 else np.intp
-
-
-def _entries(x):
-    """Shape and row-ordered (rows, cols, values) of the nonzero entries of a
-    matrix."""
-    from scipy.sparse import issparse
-
-    if not issparse(x):
-        x = np.asarray(x)
-        rows, cols = np.nonzero(x)
-        return x.shape, rows, cols, x[rows, cols]
-    x = x.tocsr()
-    rows = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
-    keep = x.data != 0
-    return x.shape, rows[keep], x.indices[keep], x.data[keep]
-
-
-def _stacked_entries(ops):
-    """Shape, entries and tile heights of matrices stacked as row tiles, with
-    their columns padded to the widest; each matrix is dropped once its
-    entries are copied."""
-    rows, cols, vals, heights = [], [], [], []
-    r = c = 0
-    for x in ops:
-        (nr, nc), i, j, v = _entries(x)
-        del x  # dropped before the next matrix is formed
-        rows.append((i + r).astype(index_dtype(r + nr)))
-        cols.append(j.astype(index_dtype(nc)))
-        vals.append(v)
-        heights.append(nr)
-        r, c = r + nr, max(c, nc)
-    if not heights:
-        rows = cols = [np.zeros(0, dtype=np.int32)]
-        vals = [np.zeros(0)]
-    index = index_dtype(max(r, c))
-    return ((r, c), np.concatenate(rows, dtype=index),
-            np.concatenate(cols, dtype=index),
-            np.concatenate(vals, dtype=np.result_type(*vals)), heights)
 
 
 def _block_norms(blocks) -> np.ndarray:
@@ -152,42 +109,39 @@ def _block_norms(blocks) -> np.ndarray:
     return scale * np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
 
 
-def spectral_norms(ops, heights=None) -> np.ndarray:
-    """Operator 2-norms of the row tiles of a stacked matrix, in one pass.
+def spectral_norms(x, height: int) -> np.ndarray:
+    """Operator 2-norms of the row tiles of a CSR matrix, in one pass.
 
-    ``ops`` is one matrix (ndarray or scipy.sparse) stacked from row tiles of
-    the given ``heights``.  Without ``heights`` it is an iterable of
-    matrices, each one tile: their nonzero entries are copied into one
-    stack, with the columns padded to the widest, and each matrix is dropped
-    once copied.
+    ``x`` (scipy.sparse CSR) is stacked from row tiles of ``height`` rows
+    each: row i lies in tile ``i // height``.  Explicit zeros among its
+    stored entries count as absent.
 
-    The entry stage moves the columns of tile t to a range of their own (t
-    times the width on), so the tiles are the diagonal blocks of a direct
-    sum.  Rows and columns of the sum joined by an exact nonzero form the
-    connected components of a bipartite graph, each inside one tile.
-    Permuting rows and columns into block-diagonal form changes no singular
-    value, so each norm is the largest norm of its tile's component blocks.
-    The blocks are laid out one after another in one buffer, grouped by
-    shape and kind (real when none of its entries has an imaginary part),
-    and each group takes one batched :func:`_block_norms`, whatever tiles
-    its blocks come from: a block gets the same arithmetic on the same
-    entries as in a pass of its tile alone.  Round-off nonzeros only merge
-    components.
+    The columns of tile t are moved to a range of their own (t times the
+    width on), so the tiles are the diagonal blocks of a direct sum.  Rows
+    and columns of the sum joined by an exact nonzero form the connected
+    components of a bipartite graph, each inside one tile.  Permuting rows
+    and columns into block-diagonal form changes no singular value, so each
+    norm is the largest norm of its tile's component blocks, and rows or
+    columns without entries add nothing.  The blocks are laid out one after
+    another in one buffer, grouped by shape and kind (real when none of its
+    entries has an imaginary part), and each group takes one batched
+    :func:`_block_norms`, whatever tiles its blocks come from: a block gets
+    the same arithmetic on the same entries as in a pass of its tile alone.
+    Round-off nonzeros only merge components.
     """
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
 
-    if heights is None:
-        (r, c), rows, cols, vals, heights = _stacked_entries(ops)
-    else:
-        (r, c), rows, cols, vals = _entries(ops)
-    heights = np.asarray(heights, dtype=np.intp)
-    out = np.zeros(heights.size)
+    r, c = x.shape
+    out = np.zeros(r // height)
+    rows = np.repeat(np.arange(r), np.diff(x.indptr))
+    keep = x.data != 0
+    rows, cols, vals = rows[keep], x.indices[keep], x.data[keep]
     if not vals.size:
         return out
-    size = r + heights.size * c  # the rows, then each tile's columns
+    size = r + out.size * c  # the rows, then each tile's columns
     index = index_dtype(size)
-    tile = np.repeat(np.arange(heights.size, dtype=index), heights)
+    tile = np.arange(r, dtype=index) // height
     rows = rows.astype(index, copy=False)
     cols = cols.astype(index)
     cols += tile[rows] * c

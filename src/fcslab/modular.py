@@ -19,6 +19,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    SUBSPACE_TOL,
     AntilinearOp,
     OperatorSubspace,
     as_complex,
@@ -29,6 +30,11 @@ from .linalg import (
 )
 from .systems import (CanonicalSystem, check_budget, log2_word_count,
                       word_count)
+
+
+# the longest words of identities (iii) and (iv) of dual_diagnostics
+WORD_LEN = 3
+MOMENT_LEN = 4
 
 
 class ModularError(RuntimeError):
@@ -128,15 +134,19 @@ def modular_data(can: CanonicalSystem, tol: float = DEFAULT_TOL) -> ModularData:
                        d_half=d_half, d_minus_half=d_minus_half)
 
 
-def sigma(md: ModularData, x: np.ndarray, z: complex,
-          tol: float = DEFAULT_TOL) -> np.ndarray:
+def sigma(md: ModularData, x: np.ndarray, z: complex) -> np.ndarray:
     """Modular flow sigma_z(x) = Delta^{iz} x Delta^{-iz} at complex time z.
 
-    The input must lie in the represented algebra.
+    The input must lie in the represented algebra.  Omega is separating, so
+    x lies in pi(A) exactly when x = pi(y) for the y in A with y Omega =
+    x Omega, y = sum_i (x Omega)_i c_i.  Only that one y is represented;
+    pi(A)'s basis on the GNS space is not formed.
     """
     x = as_complex(x)
-    ok, res = md.can.algebra.contains(x)
-    if not ok:
+    can = md.can
+    y = np.tensordot(x @ can.omega, can.basis_mats, axes=1)
+    res = float(np.linalg.norm(x - can.represent(y)))
+    if res > SUBSPACE_TOL * max(1.0, float(np.linalg.norm(x))):
         raise ModularError(f"operator is outside the algebra (residual {res:.3e})")
     iz = 1j * complex(z)
     return pos_power(md.delta, iz) @ x @ pos_power(md.delta, -iz)
@@ -192,26 +202,26 @@ def log2_dual_bytes(d: int, m: int, max_len: int) -> float:
     return 5 + w + float(np.logaddexp2(w, 1 + math.log2(m)))
 
 
-def dual_diagnostics(md: ModularData, duals: np.ndarray, word_len: int = 3,
-                     moment_len: int = 4) -> dict:
+def dual_diagnostics(md: ModularData, duals: np.ndarray) -> dict:
     """Residuals of the identities a candidate dual family must satisfy.
 
     Checked identities:
       (i)   each w_k commutes with pi(A), that is with the nonzero pi(v_j)
             and pi(v_j)*, each scaled to unit norm,
       (ii)  sum_k w_k w_k* = 1,
-      (iii) w_I* Omega = pi(v)_{reversed I}* Omega for |I| <= word_len,
+      (iii) w_I* Omega = pi(v)_{reversed I}* Omega for |I| <= WORD_LEN,
       (iv)  moment duality <Omega, pi(v)_I pi(v)_J* Omega> =
-            <Omega, w_{rev I} w_{rev J}* Omega> for |I|, |J| <= moment_len.
+            <Omega, w_{rev I} w_{rev J}* Omega> for |I|, |J| <= MOMENT_LEN.
 
-    (iii) and (iv) read the word vectors pi(v)_I* Omega and
+    The word lengths are the module constants WORD_LEN = 3 and
+    MOMENT_LEN = 4.  (iii) and (iv) read the word vectors pi(v)_I* Omega and
     w_{rev I}* Omega (:func:`word_vectors`), never the word operators.
     Word data over the memory budget (:func:`log2_dual_bytes`) is refused
     by :class:`fcslab.systems.TruncationError` before any of it is built.
     """
     pi_ops = md.pi_ops
     d, m = pi_ops.shape[0], md.gns_dim
-    max_len = max(word_len, moment_len)
+    max_len = max(WORD_LEN, MOMENT_LEN)
     log_w = log2_word_count(d, max_len)
     check_budget(log2_dual_bytes(d, m, max_len),
                  f"the moment-duality check over words of length <= {max_len}",
@@ -229,11 +239,11 @@ def dual_diagnostics(md: ModularData, duals: np.ndarray, word_len: int = 3,
 
     a_vecs = word_vectors(pi_ops, md.omega, max_len)  # pi(v)_I* Omega
     b_vecs = word_vectors(duals, md.omega, max_len, prepend=True)
-    nonempty = slice(1, word_count(d, word_len))
+    nonempty = slice(1, word_count(d, WORD_LEN))
     residuals["dual_word_vectors"] = float(np.max(np.linalg.norm(
         a_vecs[nonempty] - b_vecs[nonempty], axis=1), initial=0.0))
 
-    moments = slice(0, word_count(d, moment_len))
+    moments = slice(0, word_count(d, MOMENT_LEN))
     a_vecs, b_vecs = a_vecs[moments], b_vecs[moments]
     gram = np.conj(a_vecs) @ a_vecs.T  # <Omega, V_I V_J* Omega>
     gram -= np.conj(b_vecs) @ b_vecs.T
@@ -241,15 +251,14 @@ def dual_diagnostics(md: ModularData, duals: np.ndarray, word_len: int = 3,
     return residuals
 
 
-def dual_system(md: ModularData, word_len: int = 3, moment_len: int = 4,
-                tol: float = DEFAULT_TOL) -> DualSystem:
+def dual_system(md: ModularData, tol: float = DEFAULT_TOL) -> DualSystem:
     """Dual operators w_k = J sigma_{i/2}(pi(v_k)*) J with full diagnostics.
 
     Every identity listed in dual_diagnostics is checked; a failure raises
     DualConstructionError.
     """
     duals = md.j.sandwich(_sigma_i_half(md, dag(md.pi_ops)))
-    residuals = dual_diagnostics(md, duals, word_len, moment_len)
+    residuals = dual_diagnostics(md, duals)
     bad = {k: v for k, v in residuals.items() if v > max(tol, 1e-9) * 10}
     if bad:
         raise DualConstructionError(f"dual diagnostics failed: {bad}")

@@ -346,7 +346,7 @@ def check_relations(rep: TwoSidedRep) -> RelationReport:
     for keys, x in families():
         both = _stack([x @ rep.interior, x])
         del x  # dropped before the next family is formed
-        norms = spectral_norms(both, [q] * 2 * len(keys)).reshape(2, -1)
+        norms = spectral_norms(both, q).reshape(2, -1)
         for key, inner, outer in zip(keys, *norms.tolist()):
             interior[key] = max(interior.get(key, 0.0), inner)
             boundary[key] = max(boundary.get(key, 0.0), outer)
@@ -358,17 +358,17 @@ def compression_residual(rep: TwoSidedRep) -> float:
 
     P = C C^H for the (q, m) corner C.  With C = QR the operator is
     (1 - P) S_i* C R^H Q^H, and Q^H is a coisometry, so its norm is that of
-    the (q, m) matrix (1 - P) S_i* C R^H.
+    the (q, m) matrix (1 - P) S_i* C R^H.  The 2d matrices are formed as one
+    stacked product and measured as the row tiles, of height q, of one CSR
+    matrix.
     """
+    from scipy.sparse import csr_array
+
     c = rep.corner
     r_adj = dag(np.linalg.qr(c, mode="r"))
-
-    def operators():
-        for a in rep.right_adj + rep.left_adj:
-            x = a @ c
-            yield (x - c @ (dag(c) @ x)) @ r_adj
-
-    return max(0.0, *spectral_norms(operators()).tolist())
+    x = np.stack([a @ c for a in rep.right_adj + rep.left_adj])
+    tiles = ((x - c @ (dag(c) @ x)) @ r_adj).reshape(-1, c.shape[1])
+    return max(0.0, *spectral_norms(csr_array(tiles), len(c)).tolist())
 
 
 def _shifted_vectors(ops, adj, word_list, omega, rows) -> np.ndarray:
@@ -472,7 +472,6 @@ def shift_check(rep: TwoSidedRep) -> ShiftReport:
     covariance = v_left_dom - right_v_dom
     del v_left_dom, right_v_dom
     isometry = (v.conj().T @ (v @ interior) - interior).tocsr()
-    iso, *cov = spectral_norms(_stack([isometry, covariance]),
-                               [q] * (1 + d * d)).tolist()
+    iso, *cov = spectral_norms(_stack([isometry, covariance]), q).tolist()
     return ShiftReport(isometry_residual=iso, omega_residual=omega_res,
                        covariance_residual=max(0.0, *cov))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,20 @@ def test_sigma_rejects_outside_operators(generic):
     if not ok:
         with pytest.raises(modular.ModularError):
             modular.sigma(md, x, 1.0)
+
+
+def test_sigma_builds_no_basis_of_the_algebra():
+    # membership is read on C^n through the separating Omega; pi(A)'s basis
+    # on the GNS space (16 m^3 bytes, 48 MiB at m = 144) is not formed
+    p = build_pipeline(fixtures.random_system(12, 2, 0))
+    tracemalloc.start()
+    try:
+        modular.sigma(p.md, p.can.pi_ops[0], 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "algebra" not in p.can.__dict__
+    assert peak < 8 * 2**20
 
 
 def test_j_maps_algebra_into_commutant(generic):

@@ -13,7 +13,7 @@ domains the residual checks use (the reference finds those by SVD).
 ``compression_residual`` are compared with their dense formulas (q x q
 products and SVDs of the compressions as dense arrays) on the same
 representation.  The last three take all their norms in one block-norm pass;
-the per-operator loops below, with one ``spectral_norm`` call per operator,
+the per-operator loops below, with one norm pass of one tile per operator,
 are their exact oracle on deeper levels.
 """
 
@@ -23,7 +23,7 @@ import pytest
 from conftest import build_pipeline
 from fcslab import fixtures, systems, twosided
 from fcslab.chain import local_expectation, matrix_unit
-from fcslab.linalg import dag, spectral_norm
+from fcslab.linalg import dag, spectral_norms
 from fcslab.systems import word_operators, words
 
 GRAM_KERNEL_TOL = 1e-9
@@ -307,6 +307,15 @@ def test_shift_check_matches_dense_formula(case):
     got, want = twosided.shift_check(rep), reference_shift_check(rep)
     for key in ("isometry_residual", "omega_residual", "covariance_residual"):
         assert abs(getattr(got, key) - getattr(want, key)) <= 1e-12, key
+
+
+def spectral_norm(x):
+    """Operator 2-norm of one matrix (dense or sparse), as the one tile of a
+    norm pass."""
+    from scipy.sparse import csr_array
+
+    x = csr_array(x)
+    return float(spectral_norms(x, x.shape[0])[0])
 
 
 def loop_relations(rep):

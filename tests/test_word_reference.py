@@ -72,7 +72,7 @@ def test_membership_on_generators_tracks_the_basis_sweep(name, space, eps):
                       + 1j * rng.normal(size=len(basis)), basis)
     duals = p.dual.ops.copy()
     duals[0] += eps * y / np.linalg.norm(y)
-    got = modular.dual_diagnostics(p.md, duals, 0, 0)["commutant_membership"]
+    got = modular.dual_diagnostics(p.md, duals)["commutant_membership"]
     want = reference_dual_diagnostics(p.md, duals, 0, 0)["commutant_membership"]
     if space == "commutant":
         assert got <= TOL
@@ -165,12 +165,12 @@ def _variants(duals):
 def test_dual_diagnostics_match_word_by_word(name):
     p = build_pipeline(SYSTEMS[name]())
     for label, duals in _variants(p.dual.ops).items():
-        for word_len, moment_len in ((3, 4), (5, 2), (0, 0)):
-            got = modular.dual_diagnostics(p.md, duals, word_len, moment_len)
-            want = reference_dual_diagnostics(p.md, duals, word_len, moment_len)
-            assert got.keys() == want.keys()
-            for key in got:
-                assert abs(got[key] - want[key]) <= TOL, (label, word_len, key)
+        got = modular.dual_diagnostics(p.md, duals)
+        want = reference_dual_diagnostics(p.md, duals, modular.WORD_LEN,
+                                          modular.MOMENT_LEN)
+        assert got.keys() == want.keys()
+        for key in got:
+            assert abs(got[key] - want[key]) <= TOL, (label, key)
 
 
 def test_corrupted_variants_break_the_identities():
